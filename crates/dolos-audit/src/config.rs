@@ -18,23 +18,26 @@ pub const LINT_PERSISTENCE_DOMAIN: &str = "persistence-domain";
 pub const LINT_SECRET_FLOW: &str = "secret-flow";
 /// Lint name: allocating calls reachable from the persist critical path.
 pub const LINT_HOT_ALLOC: &str = "hot-alloc";
+/// Lint name: `unsafe` outside the files sanctioned to contain it.
+pub const LINT_UNSAFE_SCOPE: &str = "unsafe-scope";
 /// Lint name: malformed, unknown, or unused `audit:allow` comments.
 pub const LINT_SUPPRESSION: &str = "suppression";
 
 /// Every lint an `audit:allow` comment may name.
-pub const KNOWN_LINTS: [&str; 6] = [
+pub const KNOWN_LINTS: [&str; 7] = [
     LINT_NONDETERMINISM,
     LINT_WALL_CLOCK,
     LINT_PANIC_PATH,
     LINT_PERSISTENCE_DOMAIN,
     LINT_SECRET_FLOW,
     LINT_HOT_ALLOC,
+    LINT_UNSAFE_SCOPE,
 ];
 
 /// One-line descriptions for `dolos-audit list-lints`, in registry order.
 /// The `suppression` meta-lint is listed too — it cannot be allowed, but it
 /// does appear in findings.
-pub const LINT_DESCRIPTIONS: [(&str, &str); 7] = [
+pub const LINT_DESCRIPTIONS: [(&str, &str); 8] = [
     (
         LINT_NONDETERMINISM,
         "hasher-seeded collections (HashMap/HashSet/...) in deterministic crates",
@@ -58,6 +61,10 @@ pub const LINT_DESCRIPTIONS: [(&str, &str); 7] = [
     (
         LINT_HOT_ALLOC,
         "allocating calls (Vec::new, vec!, clone, format!, ...) reachable from hot-path roots",
+    ),
+    (
+        LINT_UNSAFE_SCOPE,
+        "the `unsafe` keyword anywhere (tests included) outside dolos-crypto/src/aesni.rs",
     ),
     (
         LINT_SUPPRESSION,
@@ -96,6 +103,8 @@ pub struct Config {
     /// `Type::fn` / `fn` patterns naming the persist-critical-path roots
     /// for the hot-alloc lint.
     pub hot_path_roots: Vec<String>,
+    /// Path suffixes of the only files allowed to contain `unsafe`.
+    pub unsafe_files: Vec<String>,
     /// Type names that carry key material.
     pub secret_types: Vec<String>,
     /// Path suffixes of files whose formatting impls for secret types are
@@ -133,11 +142,9 @@ impl Config {
             strict_panic_files: to_vec(&[
                 "dolos-core/src/masu.rs",
                 "dolos-nvm/src/bank.rs",
-                // The work-stealing claim queue and the Ma-SU pad cache: a
-                // panic in either corrupts a whole sweep or the decrypt
-                // path, so no budgeted sites are tolerated.
+                // The work-stealing claim queue: a panic there corrupts a
+                // whole sweep, so no budgeted sites are tolerated.
                 "dolos-sim/src/queue.rs",
-                "dolos-crypto/src/padcache.rs",
                 "dolos-whisper/src/oracle.rs",
                 "dolos-chaos/src/driver.rs",
                 "dolos-chaos/src/campaign.rs",
@@ -178,6 +185,9 @@ impl Config {
                 "MacEngine::tag_parts",
                 "MacEngine::stream_tag",
             ]),
+            // The AES-NI backend: its `unsafe` blocks call the
+            // `#[target_feature]` functions after runtime detection.
+            unsafe_files: to_vec(&["dolos-crypto/src/aesni.rs"]),
             secret_types: to_vec(&["Aes128", "MacEngine"]),
             sanctioned_debug_files: to_vec(&["dolos-crypto/src/aes.rs", "dolos-crypto/src/mac.rs"]),
             // Ratchet: 43 total sites when the audit landed (PR 3); split

@@ -12,7 +12,7 @@
 //!
 //! 1. **Per-file** — a hand-rolled comment- and string-aware lexer
 //!    ([`lexer`]) feeds token-pattern lints ([`lints`]): nondeterminism,
-//!    wall-clock, panic-path.
+//!    wall-clock, panic-path, unsafe-scope.
 //! 2. **Workspace** — a dependency-free item parser ([`items`]) recovers
 //!    `mod`/`impl`/`fn` structure from the same tokens; a conservative
 //!    name-based call graph with reachability ([`graph`]) powers the

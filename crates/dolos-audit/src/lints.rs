@@ -13,7 +13,9 @@
 //! itself a finding — and every suppression must match a real finding, so
 //! stale allows fail the audit instead of rotting in place.
 
-use crate::config::{Config, KNOWN_LINTS, LINT_NONDETERMINISM, LINT_PANIC_PATH, LINT_WALL_CLOCK};
+use crate::config::{
+    Config, KNOWN_LINTS, LINT_NONDETERMINISM, LINT_PANIC_PATH, LINT_UNSAFE_SCOPE, LINT_WALL_CLOCK,
+};
 use crate::lexer::{in_regions, lex, test_regions, Comment, Token, TokenKind};
 use crate::report::Finding;
 
@@ -81,13 +83,17 @@ pub(crate) fn analyze_file(file: &SourceFile, config: &Config) -> (FileAnalysis,
     let regions = test_regions(&lexed.tokens);
     let mut pre_findings = Vec::new();
     let suppressions = parse_suppressions(&lexed.comments, &regions, &file.path, &mut pre_findings);
+    let mut raw: Vec<Finding> = Vec::new();
+    // Test code included: `unsafe` in a test is as unsound as anywhere.
+    if !Config::path_matches(&file.path, &config.unsafe_files) {
+        lint_unsafe_scope(&lexed.tokens, &file.path, &config.unsafe_files, &mut raw);
+    }
     let tokens: Vec<Token> = lexed
         .tokens
         .into_iter()
         .filter(|t| !in_regions(&regions, t.line))
         .collect();
 
-    let mut raw: Vec<Finding> = Vec::new();
     if config.deterministic_crates.contains(&file.krate) {
         lint_nondeterminism(&tokens, &file.path, &mut raw);
     }
@@ -222,6 +228,23 @@ fn lint_wall_clock(tokens: &[Token], path: &str, out: &mut Vec<Finding>) {
                      function of the machine; simulated components take time \
                      as Cycle inputs (host timing belongs in dolos-bench)",
                     t.text
+                ),
+            });
+        }
+    }
+}
+
+fn lint_unsafe_scope(tokens: &[Token], path: &str, allowed: &[String], out: &mut Vec<Finding>) {
+    for t in tokens {
+        if t.kind == TokenKind::Ident && t.text == "unsafe" {
+            out.push(Finding {
+                file: path.to_string(),
+                line: t.line,
+                lint: LINT_UNSAFE_SCOPE.into(),
+                message: format!(
+                    "`unsafe` outside the files allowed to contain it ({}); \
+                     keep unsafe code in that one audited module",
+                    allowed.join(", ")
                 ),
             });
         }

@@ -3,7 +3,7 @@
 //! These are the audit's own regression suite. Each lint gets (at least) a
 //! pair of fixtures — one where it must fire, one where an `audit:allow`
 //! with a reason silences it — plus hygiene cases for the suppression
-//! grammar itself, cross-file cases for the call-graph lints, two *graft*
+//! grammar itself, cross-file cases for the call-graph lints, *graft*
 //! tests that re-introduce real historical violations into the live
 //! workspace sources, and a final test that the real workspace is clean.
 //! That last test is what makes the audit self-enforcing: reverting one of
@@ -25,6 +25,7 @@ fn fixture_config() -> Config {
         sanctioned_persistence_files: vec!["src/device.rs".into()],
         persistence_roots: vec!["Ctl::drain".into()],
         hot_path_roots: vec!["Ctl::advance".into()],
+        unsafe_files: vec!["src/ffi.rs".into()],
         secret_types: vec!["Aes128".into(), "MacEngine".into()],
         sanctioned_debug_files: vec!["src/aes.rs".into()],
         panic_budgets: Vec::new(),
@@ -193,6 +194,33 @@ fn unwrap_like_identifiers_are_not_panic_sites() {
     let src = "fn f() { a.unwrap_or(0); b.unwrap_or_default(); expect(c); }\n";
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     assert_eq!(report.panic_sites, 0);
+}
+
+// --- unsafe-scope ---------------------------------------------------------
+
+#[test]
+fn unsafe_scope_fires_outside_sanctioned_files_tests_included() {
+    let src = "fn f() { unsafe { g() } }\nunsafe fn g() {}\n\
+               #[cfg(test)]\nmod tests {\n fn t() { unsafe { h() } }\n}\n";
+    assert_eq!(
+        lints_fired("src/a.rs", "other", src),
+        vec!["unsafe-scope", "unsafe-scope", "unsafe-scope"]
+    );
+}
+
+#[test]
+fn unsafe_scope_is_silent_in_sanctioned_files_comments_and_strings() {
+    let src = "fn f() { unsafe { g() } }\n";
+    assert!(lints_fired("src/ffi.rs", "other", src).is_empty());
+    let src = "#![deny(unsafe_code)]\n// unsafe is banned\nfn f() { let s = \"unsafe\"; }\n";
+    assert!(lints_fired("src/a.rs", "other", src).is_empty());
+}
+
+#[test]
+fn unsafe_scope_suppression_with_reason_holds() {
+    let src = "// audit:allow(unsafe-scope) -- FFI shim reviewed separately\n\
+               fn f() { unsafe { g() } }\n";
+    assert!(lints_fired("src/a.rs", "other", src).is_empty());
 }
 
 // --- persistence-domain (call-graph form) ---------------------------------
@@ -481,21 +509,40 @@ fn graft_rederiving_debug_on_aes128_fires_secret_flow() {
 
 #[test]
 fn graft_allocating_pad_path_fires_hot_alloc() {
-    // Re-introduce a per-write allocation into the Ma-SU pad pipeline — now
-    // the pad-cache miss path in dolos-crypto, reached from the hot root
+    // Re-introduce a per-write allocation into the Ma-SU pad pipeline —
+    // `ctr::pad_line` in dolos-crypto, reached from the hot root
     // `MajorSecurityUnit::pad_for`; the audit must name it and explain the
     // cross-crate path from that root.
     let report = grafted_workspace(
-        "dolos-crypto/src/padcache.rs",
-        "let pad = pad_line(key, &iv);",
-        "let _scratch = iv.to_vec();\n        let pad = pad_line(key, &iv);",
+        "dolos-crypto/src/ctr.rs",
+        "let blocks = key.encrypt_counter4(iv.to_base_words(), 0);",
+        "let _scratch = iv.to_base_words().to_vec();\n    \
+         let blocks = key.encrypt_counter4(iv.to_base_words(), 0);",
     );
     let hit = report
         .findings
         .iter()
-        .find(|f| f.lint == "hot-alloc" && f.file.ends_with("padcache.rs"));
+        .find(|f| f.lint == "hot-alloc" && f.file.ends_with("ctr.rs"));
     let hit = hit.unwrap_or_else(|| panic!("expected hot-alloc:\n{}", report.to_text()));
     assert!(hit.message.contains("to_vec"), "{}", hit.message);
+}
+
+#[test]
+fn graft_unsafe_outside_aesni_fires_unsafe_scope() {
+    // An `unsafe` block next to the dispatch in aes.rs (rather than in
+    // aesni.rs) must be flagged even though the crate would re-allow it.
+    let report = grafted_workspace(
+        "dolos-crypto/src/aes.rs",
+        "pub fn is_hardware(&self) -> bool {",
+        "pub fn is_hardware(&self) -> bool {\n        unsafe {}",
+    );
+    let hits: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.lint == "unsafe-scope")
+        .collect();
+    assert_eq!(hits.len(), 1, "{}", report.to_text());
+    assert!(hits[0].file.ends_with("dolos-crypto/src/aes.rs"));
 }
 
 #[test]

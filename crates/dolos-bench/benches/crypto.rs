@@ -6,26 +6,36 @@ use dolos_bench::microbench::{bb, Bench};
 use dolos_crypto::aes::Aes128;
 use dolos_crypto::ctr::{generate_pad, pad_line, xor_in_place, IvBuilder};
 use dolos_crypto::mac::MacEngine;
-use dolos_crypto::padcache::PadCache;
 use dolos_secmem::bmt::BonsaiMerkleTree;
 
 fn main() {
     let mut b = Bench::from_args("crypto");
 
+    // `aes_hw` vs `aes_portable` vs `aes_reference`: the AES-NI backend,
+    // the T-table fallback and the byte-oriented specification both are
+    // lockstep-pinned to. On a CPU without AES-NI the `aes_hw` rows run
+    // the portable path (`Aes128::new` falls back), so they equal it.
     let key = Aes128::new(&[7; 16]);
+    let portable = Aes128::new_portable(&[7; 16]);
+    if !key.is_hardware() {
+        eprintln!("crypto: no AES-NI on this CPU; aes_hw_* rows run the portable path");
+    }
     let block = [0x5A; 16];
-    // `aes_fast` vs `aes_reference`: the T-table hot path against the
-    // byte-oriented specification it is lockstep-pinned to — the
-    // before/after evidence for the crypto hot-path overhaul.
     b.run("aes128_encrypt_block", || key.encrypt_block(bb(&block)));
-    b.run("aes_fast_encrypt_block", || key.encrypt_block(bb(&block)));
+    b.run("aes_hw_encrypt_block", || key.encrypt_block(bb(&block)));
+    b.run("aes_portable_encrypt_block", || {
+        portable.encrypt_block(bb(&block))
+    });
     b.run("aes_reference_encrypt_block", || {
         key.encrypt_block_reference(bb(&block))
     });
 
     let iv = IvBuilder::new().address(0x4000).counter(17).build();
     b.run("ctr_pad_64B", || generate_pad(bb(&key), bb(&iv), 64));
-    b.run("aes_fast_pad_line_64B", || pad_line(bb(&key), bb(&iv)));
+    b.run("aes_hw_pad_line_64B", || pad_line(bb(&key), bb(&iv)));
+    b.run("aes_portable_pad_line_64B", || {
+        pad_line(bb(&portable), bb(&iv))
+    });
 
     let pad = generate_pad(&key, &iv, 64);
     b.run("line_xor_encrypt", || {
@@ -35,12 +45,15 @@ fn main() {
     });
 
     let mac = MacEngine::new([9; 16]);
+    let mac_portable = MacEngine::from_cipher(Aes128::new_portable(&[9; 16]));
     let line = [0x11u8; 64];
     b.run("cbc_mac_64B", || mac.tag(bb(&line)));
+    b.run("aes_hw_cbc_mac_64B", || mac.tag(bb(&line)));
+    b.run("aes_portable_cbc_mac_64B", || mac_portable.tag(bb(&line)));
     b.run("cbc_mac_parts", || {
         mac.tag_parts(bb(&[&line[..32], &line[32..], &line[..8]]))
     });
-    b.run("aes_fast_cbc_mac_streaming", || {
+    b.run("cbc_mac_streaming", || {
         let mut s = mac.streamer(3);
         s.part(bb(&line[..32]));
         s.part(bb(&line[32..]));
@@ -60,16 +73,4 @@ fn main() {
     });
     tree.root(&mac);
     b.run("mac_cache_parent_hit", || tree.root(bb(&mac)));
-
-    // Counter-block pad cache on the Ma-SU read path: a repeated
-    // (address, counter) pair returns the cached pad (hit); a fresh counter
-    // re-runs the AES pad (miss + refill).
-    let mut pads = PadCache::new(256);
-    let mut counter = 0u64;
-    b.run("mac_cache_pad_miss", || {
-        counter += 1;
-        pads.pad(bb(&key), 0x4000, counter)
-    });
-    pads.pad(&key, 0x4000, 7);
-    b.run("mac_cache_pad_hit", || pads.pad(bb(&key), 0x4000, 7));
 }

@@ -22,10 +22,9 @@
 use std::collections::BTreeMap;
 
 use dolos_crypto::aes::Aes128;
-use dolos_crypto::ctr::xor_in_place;
+use dolos_crypto::ctr::{pad_line, xor_in_place, IvBuilder};
 use dolos_crypto::latency::CryptoLatency;
 use dolos_crypto::mac::MacEngine;
-use dolos_crypto::padcache::PadCache;
 use dolos_nvm::addr::LineAddr;
 use dolos_nvm::{Line, NvmDevice};
 use dolos_secmem::bmt::{data_mac, BonsaiMerkleTree};
@@ -85,10 +84,6 @@ pub struct MajorSecurityUnit {
     ecc: FlatMap<u64>,
     /// Updates per counter block since its last NVM write-back.
     pending_counter_updates: FlatMap<u64>,
-    /// Host-side memo cache over the counter-mode pad computation. Purely
-    /// functional: hits and misses return identical pads, and the simulated
-    /// AES latency is charged by the engine model either way.
-    pad_cache: PadCache,
     osiris_phase: u64,
     /// One crypto/tree-update engine per NVM bank (index =
     /// [`LineAddr::bank_index`]). With a single bank this is the paper's
@@ -156,9 +151,6 @@ impl MajorSecurityUnit {
             tree,
             ecc: FlatMap::new(),
             pending_counter_updates: FlatMap::new(),
-            // 256 direct-mapped slots: covers the same-page rewrite/read-back
-            // window of every workload here at 20 KiB of host memory.
-            pad_cache: PadCache::new(256),
             osiris_phase,
             engines: {
                 // The integrity-tree update MACs for one write are serial
@@ -227,8 +219,12 @@ impl MajorSecurityUnit {
         dolos_crypto::latency::AES_LATENCY
     }
 
-    fn pad_for(&mut self, addr: LineAddr, packed_counter: u64) -> [u8; 64] {
-        self.pad_cache.pad(&self.aes, addr.as_u64(), packed_counter)
+    fn pad_for(&self, addr: LineAddr, packed_counter: u64) -> [u8; 64] {
+        let iv = IvBuilder::new()
+            .address(addr.as_u64())
+            .counter(packed_counter)
+            .build();
+        pad_line(&self.aes, &iv)
     }
 
     /// Fetches the counter block for `page`, modelling the counter cache and

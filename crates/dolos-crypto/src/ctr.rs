@@ -8,7 +8,7 @@
 //! property both the Ma-SU decryption-latency hiding and the Mi-SU
 //! boot-time pre-generation rely on.
 
-use crate::aes::{bytes_from_words, words_from_bytes, Aes128, Block, BLOCK_SIZE};
+use crate::aes::{Aes128, BLOCK_SIZE};
 
 /// Bytes per 4 KiB page (64 cachelines of 64 B).
 const PAGE_SIZE: u64 = 4096;
@@ -72,7 +72,11 @@ impl Iv {
     /// must never permit. The page-ID field is the one deliberately
     /// narrowed — its 40 bits still address 2^52 bytes of 4 KiB pages,
     /// far beyond any configuration the simulator models.
-    fn to_block(self, block_index: u8) -> Block {
+    ///
+    /// The specification of [`Self::to_base_words`], which packs the same
+    /// fields without the byte round trip.
+    #[cfg(test)]
+    fn to_block(self, block_index: u8) -> crate::aes::Block {
         let mut block = [0u8; BLOCK_SIZE];
         block[0..5].copy_from_slice(&self.page_id.to_le_bytes()[0..5]);
         block[5..7].copy_from_slice(&self.page_offset.to_le_bytes());
@@ -81,13 +85,17 @@ impl Iv {
         block
     }
 
-    /// [`Self::to_block`] with block index 0, pre-packed into the cipher's
-    /// word representation. The block-index byte is the low byte of word 1
-    /// and is zero here, so pad loops derive block `i`'s IV words as
-    /// `[w0, w1 ^ i, w2, w3]` (i ≤ 255) without rebuilding and repacking the
-    /// byte block per AES call.
+    /// [`Self::to_block`] with block index 0 (the low byte of word 1), in
+    /// the cipher's word representation, packed field by field: byte writes
+    /// read back as words would stall store forwarding on every pad.
     fn to_base_words(self) -> [u32; 4] {
-        words_from_bytes(&self.to_block(0))
+        let [o0, o1] = self.page_offset.to_le_bytes();
+        [
+            (self.page_id as u32).swap_bytes(),
+            u32::from_be_bytes([(self.page_id >> 32) as u8, o0, o1, 0]),
+            (self.counter as u32).swap_bytes(),
+            ((self.counter >> 32) as u32).swap_bytes(),
+        ]
     }
 }
 
@@ -169,19 +177,12 @@ pub const MAX_PAD_BYTES: usize = 256 * BLOCK_SIZE;
 /// assert_eq!(pad_line(&key, &iv).to_vec(), generate_pad(&key, &iv, 64));
 /// ```
 pub fn pad_line(key: &Aes128, iv: &Iv) -> [u8; LINE_SIZE] {
-    let b = iv.to_base_words();
     // The four blocks are independent (distinct block indices), so one
-    // interleaved cipher pass keeps the core's load ports busy instead of
-    // serializing four latency-bound chains.
-    let blocks = key.encrypt_words4([
-        b,
-        [b[0], b[1] ^ 1, b[2], b[3]],
-        [b[0], b[1] ^ 2, b[2], b[3]],
-        [b[0], b[1] ^ 3, b[2], b[3]],
-    ]);
+    // interleaved cipher pass covers the line instead of four serial chains.
+    let blocks = key.encrypt_counter4(iv.to_base_words(), 0);
     let mut pad = [0u8; LINE_SIZE];
     for (chunk, block) in pad.chunks_exact_mut(BLOCK_SIZE).zip(blocks.iter()) {
-        chunk.copy_from_slice(&bytes_from_words(block));
+        chunk.copy_from_slice(block);
     }
     pad
 }
@@ -190,8 +191,7 @@ pub fn pad_line(key: &Aes128, iv: &Iv) -> [u8; LINE_SIZE] {
 ///
 /// The caller supplies the buffer, so steady-state users (e.g. the Mi-SU's
 /// pre-generated pad slots) can regenerate in place with zero allocation.
-/// The final partial block, if any, is produced into a stack scratch block
-/// and copied, so `pad` may be any length up to [`MAX_PAD_BYTES`].
+/// `pad` may be any length up to [`MAX_PAD_BYTES`].
 ///
 /// # Panics
 ///
@@ -207,33 +207,15 @@ pub fn pad_into(key: &Aes128, iv: &Iv, pad: &mut [u8]) {
         pad.len(),
         MAX_PAD_BYTES
     );
-    let b = iv.to_base_words();
-    let mut i = 0u32;
-    // Four independent blocks per interleaved cipher pass (see `pad_line`),
-    // then single passes for the stragglers.
-    let mut quads = pad.chunks_exact_mut(4 * BLOCK_SIZE);
-    for quad in &mut quads {
-        let blocks = key.encrypt_words4([
-            [b[0], b[1] ^ i, b[2], b[3]],
-            [b[0], b[1] ^ (i + 1), b[2], b[3]],
-            [b[0], b[1] ^ (i + 2), b[2], b[3]],
-            [b[0], b[1] ^ (i + 3), b[2], b[3]],
-        ]);
-        for (chunk, block) in quad.chunks_exact_mut(BLOCK_SIZE).zip(blocks.iter()) {
-            chunk.copy_from_slice(&bytes_from_words(block));
+    let base = iv.to_base_words();
+    // Four independent blocks per interleaved cipher pass (see `pad_line`);
+    // a final partial pass keeps the leading bytes it needs. Block indices
+    // stay ≤ 255 even there, as `MAX_PAD_BYTES` is a whole number of passes.
+    for (pass, quad) in pad.chunks_mut(4 * BLOCK_SIZE).enumerate() {
+        let blocks = key.encrypt_counter4(base, 4 * pass as u32);
+        for (chunk, block) in quad.chunks_mut(BLOCK_SIZE).zip(blocks.iter()) {
+            chunk.copy_from_slice(&block[..chunk.len()]);
         }
-        i += 4;
-    }
-    let mut chunks = quads.into_remainder().chunks_exact_mut(BLOCK_SIZE);
-    for chunk in &mut chunks {
-        let block = key.encrypt_words([b[0], b[1] ^ i, b[2], b[3]]);
-        chunk.copy_from_slice(&bytes_from_words(&block));
-        i += 1;
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let block = bytes_from_words(&key.encrypt_words([b[0], b[1] ^ i, b[2], b[3]]));
-        tail.copy_from_slice(&block[..tail.len()]);
     }
 }
 
@@ -347,6 +329,25 @@ mod tests {
     fn xor_length_mismatch_panics() {
         let mut d = [0u8; 4];
         xor_in_place(&mut d, &[0u8; 5]);
+    }
+
+    #[test]
+    fn base_words_match_the_block_layout() {
+        for (page_id, page_offset, counter) in [
+            (0u64, 0u16, 0u64),
+            (0x12_3456_789A, 0x3F, 0x0102_0304_0506_0708),
+            (u64::MAX, u16::MAX, u64::MAX),
+        ] {
+            let iv = IvBuilder::new()
+                .page_id(page_id)
+                .page_offset(page_offset)
+                .counter(counter)
+                .build();
+            assert_eq!(
+                iv.to_base_words(),
+                crate::aes::words_from_bytes(&iv.to_block(0))
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! so the rest of the workspace can verify real ciphertext, real MACs, and
 //! real Merkle-tree roots across crashes and attacks:
 //!
-//! * [`aes`] — AES-128 block encryption (FIPS-197, encrypt-only): a
-//!   T-table fast path ([`Aes128::encrypt_block`]) plus the retained
-//!   byte-oriented reference it is lockstep-tested against;
+//! * [`aes`] — AES-128 block encryption (FIPS-197, encrypt-only): AES-NI
+//!   when the CPU has it, else a T-table cipher, both lockstep-tested
+//!   against the retained byte-oriented reference;
 //! * [`ctr`] — counter-mode pad generation with the paper's IV layout
 //!   (page ID ‖ page offset ‖ counter ‖ padding, Figure 2); hot paths use
 //!   the allocation-free [`ctr::pad_line`] / [`ctr::pad_into`];
@@ -15,10 +15,10 @@
 //!   paper assumes for WPQ entries and BMT nodes), with a streaming
 //!   [`mac::CbcMac`] for part lists that are never materialized contiguously;
 //! * [`latency`] — the cycle costs from Table 1, kept separate from the
-//!   functional code so timing-model changes never touch the data path;
-//! * [`padcache`] — a direct-mapped memo cache over [`ctr::pad_line`] for
-//!   the Ma-SU's hot same-line rewrite/read-back pattern (host-time only:
-//!   hit and miss return identical bytes).
+//!   functional code so timing-model changes never touch the data path.
+//!
+//! The crate denies `unsafe_code` except in the private `aesni` module,
+//! whose `unsafe` calls run `#[target_feature]` code after detection.
 //!
 //! Simulated timing comes exclusively from [`latency`]; nothing in the
 //! functional modules feeds the cycle model, so making this crate faster in
@@ -40,14 +40,16 @@
 //! assert_eq!(tag, mac.tag(&pad)); // deterministic
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod aesni;
 pub mod ctr;
 pub mod latency;
 pub mod mac;
-pub mod padcache;
 
 pub use aes::Aes128;
 pub use ctr::{generate_pad, pad_into, pad_line, Iv, IvBuilder};

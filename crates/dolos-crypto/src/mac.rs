@@ -11,43 +11,18 @@ use crate::aes::{Aes128, BLOCK_SIZE};
 /// A 64-bit truncated MAC tag.
 pub type Mac64 = [u8; 8];
 
-/// The CBC state in the cipher's word representation (see
-/// [`crate::aes::words_from_bytes`]). Chaining in this domain skips the
-/// byte↔word packing on every cipher call; the packing is a bijection, so
-/// tags stay byte-identical to the byte-domain formulation.
+/// The CBC state in the cipher's word representation (a bijection of the
+/// bytes, see [`crate::aes::words_from_bytes`]), so chains skip repacking.
 type StateWords = [u32; 4];
 
-/// The length-prefix block (`n` little-endian in bytes 0..8, zeros after) in
-/// the word representation.
+/// Absorbs the length block for `n` (`n` little-endian in bytes 0..8, zeros
+/// after): `state = E(state ^ len_block(n))`.
 #[inline]
-fn len_words(n: u64) -> StateWords {
-    let le = n.to_le_bytes();
-    [
-        u32::from_be_bytes([le[0], le[1], le[2], le[3]]),
-        u32::from_be_bytes([le[4], le[5], le[6], le[7]]),
-        0,
-        0,
-    ]
-}
-
-/// XORs up to one block of message bytes into the state, zero-padding a
-/// short chunk (equivalent to the byte-domain `zip` XOR, which simply
-/// leaves trailing state bytes untouched).
-#[inline]
-fn xor_chunk(state: &mut StateWords, chunk: &[u8]) {
-    if chunk.len() == BLOCK_SIZE {
-        state[0] ^= u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        state[1] ^= u32::from_be_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        state[2] ^= u32::from_be_bytes([chunk[8], chunk[9], chunk[10], chunk[11]]);
-        state[3] ^= u32::from_be_bytes([chunk[12], chunk[13], chunk[14], chunk[15]]);
-    } else {
-        let mut block = [0u8; BLOCK_SIZE];
-        block[..chunk.len()].copy_from_slice(chunk);
-        state[0] ^= u32::from_be_bytes([block[0], block[1], block[2], block[3]]);
-        state[1] ^= u32::from_be_bytes([block[4], block[5], block[6], block[7]]);
-        state[2] ^= u32::from_be_bytes([block[8], block[9], block[10], block[11]]);
-        state[3] ^= u32::from_be_bytes([block[12], block[13], block[14], block[15]]);
-    }
+fn absorb_len(key: &Aes128, mut state: StateWords, n: u64) -> StateWords {
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = n.to_le_bytes();
+    state[0] ^= u32::from_be_bytes([l0, l1, l2, l3]);
+    state[1] ^= u32::from_be_bytes([l4, l5, l6, l7]);
+    key.encrypt_words(state)
 }
 
 /// Truncates the final state to the 64-bit tag (state bytes 0..8).
@@ -102,10 +77,15 @@ impl core::fmt::Debug for MacEngine {
 impl MacEngine {
     /// Creates an engine from a 16-byte key.
     pub fn new(key: [u8; 16]) -> Self {
-        let key = Aes128::new(&key);
+        Self::from_cipher(Aes128::new(&key))
+    }
+
+    /// Creates an engine over an already expanded key, keeping its AES
+    /// backend (e.g. a [`Aes128::new_portable`] key for lockstep tests).
+    pub fn from_cipher(key: Aes128) -> Self {
         let mut init = [[0u32; 4]; INIT_CACHE];
         for (n, state) in init.iter_mut().enumerate() {
-            *state = key.encrypt_words(len_words(n as u64));
+            *state = absorb_len(&key, [0; 4], n as u64);
         }
         Self { key, init }
     }
@@ -113,22 +93,20 @@ impl MacEngine {
     /// The CBC state after absorbing the length-prefix block for `n`.
     #[inline]
     fn initial_state(&self, n: u64) -> StateWords {
-        if let Some(state) = self.init.get(n as usize) {
+        // `try_from`, not `as`: on a 32-bit target `n as usize` would wrap
+        // a length of 2^32 to 0 and return the wrong cached state.
+        if let Some(state) = usize::try_from(n).ok().and_then(|i| self.init.get(i)) {
             *state
         } else {
-            self.key.encrypt_words(len_words(n))
+            absorb_len(&self.key, [0; 4], n)
         }
     }
 
     /// Computes the 64-bit tag of `message`.
     pub fn tag(&self, message: &[u8]) -> Mac64 {
         // Length prefix block (cached for small lengths).
-        let mut state = self.initial_state(message.len() as u64);
-        for chunk in message.chunks(BLOCK_SIZE) {
-            xor_chunk(&mut state, chunk);
-            state = self.key.encrypt_words(state);
-        }
-        truncate_tag(&state)
+        let state = self.initial_state(message.len() as u64);
+        truncate_tag(&self.key.cbc_words(state, message))
     }
 
     /// Computes a tag over several segments without concatenating them.
@@ -139,14 +117,8 @@ impl MacEngine {
     pub fn tag_parts(&self, parts: &[&[u8]]) -> Mac64 {
         let mut state = self.initial_state(parts.len() as u64);
         for part in parts {
-            let lw = len_words(part.len() as u64);
-            state[0] ^= lw[0];
-            state[1] ^= lw[1];
-            state = self.key.encrypt_words(state);
-            for chunk in part.chunks(BLOCK_SIZE) {
-                xor_chunk(&mut state, chunk);
-                state = self.key.encrypt_words(state);
-            }
+            state = absorb_len(&self.key, state, part.len() as u64);
+            state = self.key.cbc_words(state, part);
         }
         truncate_tag(&state)
     }
@@ -168,16 +140,7 @@ impl MacEngine {
     /// sequences — hot paths use this to MAC table-sized part lists without
     /// first collecting them into a `Vec<&[u8]>` or concatenation buffers.
     pub fn streamer(&self, part_count: usize) -> CbcMac<'_> {
-        CbcMac {
-            key: &self.key,
-            state: self.initial_state(part_count as u64),
-            buf: [0u8; BLOCK_SIZE],
-            buf_len: 0,
-            in_part: false,
-            parts_left: part_count,
-            expected: 0,
-            fed: 0,
-        }
+        self.open(part_count as u64, part_count, None)
     }
 
     /// Starts a streaming computation equivalent to [`Self::tag`] over a
@@ -196,14 +159,20 @@ impl MacEngine {
     /// block is absorbed — the chaining exactly mirrors `tag`'s, so the
     /// two formulations stay interchangeable per call site, never mixed.
     pub fn stream_tag(&self, message_len: u64) -> CbcMac<'_> {
+        self.open(message_len, 0, Some(message_len))
+    }
+
+    /// A stream whose first block encodes `first_len`, expecting
+    /// `parts_left` parts, already inside a part of `open_part` bytes if set.
+    fn open(&self, first_len: u64, parts_left: usize, open_part: Option<u64>) -> CbcMac<'_> {
         CbcMac {
             key: &self.key,
-            state: self.initial_state(message_len),
+            state: self.initial_state(first_len),
             buf: [0u8; BLOCK_SIZE],
             buf_len: 0,
-            in_part: true,
-            parts_left: 0,
-            expected: message_len,
+            in_part: open_part.is_some(),
+            parts_left,
+            expected: open_part.unwrap_or(0),
             fed: 0,
         }
     }
@@ -264,31 +233,34 @@ impl CbcMac<'_> {
         assert!(self.parts_left > 0, "more parts fed than declared");
         self.parts_left -= 1;
         self.in_part = true;
-        self.buf = [0u8; BLOCK_SIZE];
-        self.buf_len = 0;
         self.expected = part_len;
         self.fed = 0;
-        let lw = len_words(part_len);
-        self.state[0] ^= lw[0];
-        self.state[1] ^= lw[1];
-        self.state = self.key.encrypt_words(self.state);
+        self.state = absorb_len(self.key, self.state, part_len);
     }
 
     /// Feeds part bytes; may be called any number of times per part.
     pub fn update(&mut self, mut bytes: &[u8]) {
         assert!(self.in_part, "update called outside a part");
         self.fed += bytes.len() as u64;
-        while !bytes.is_empty() {
+        if self.buf_len > 0 {
             let take = (BLOCK_SIZE - self.buf_len).min(bytes.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&bytes[..take]);
             self.buf_len += take;
             bytes = &bytes[take..];
-            if self.buf_len == BLOCK_SIZE {
-                xor_chunk(&mut self.state, &self.buf);
-                self.state = self.key.encrypt_words(self.state);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_SIZE {
+                return;
             }
+            self.state = self.key.cbc_words(self.state, &self.buf);
         }
+        // Whole blocks chain straight from the input; a short tail waits in
+        // the buffer for the next update or `end_part`.
+        let whole = bytes.len() - bytes.len() % BLOCK_SIZE;
+        if whole > 0 {
+            self.state = self.key.cbc_words(self.state, &bytes[..whole]);
+        }
+        let tail = &bytes[whole..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Closes the current part, flushing any partial chunk.
@@ -299,13 +271,10 @@ impl CbcMac<'_> {
             "part length declared to begin_part does not match bytes fed"
         );
         if self.buf_len > 0 {
-            xor_chunk(&mut self.state, &self.buf[..self.buf_len]);
-            self.state = self.key.encrypt_words(self.state);
+            self.state = self.key.cbc_words(self.state, &self.buf[..self.buf_len]);
             self.buf_len = 0;
         }
         self.in_part = false;
-        self.fed = 0;
-        self.expected = 0;
     }
 
     /// Returns the 64-bit tag. All declared parts must have been fed.
@@ -319,6 +288,7 @@ impl CbcMac<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::words_from_bytes;
 
     fn engine() -> MacEngine {
         MacEngine::new([7u8; 16])
@@ -405,6 +375,23 @@ mod tests {
             let msg: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
             assert_eq!(m.tag(&msg), tag_specification([7u8; 16], &msg), "len {len}");
         }
+    }
+
+    #[test]
+    fn initial_state_past_the_cache_encrypts_the_length_block() {
+        let m = engine();
+        // Past the cache, and the length a 32-bit `usize` would wrap to 0.
+        for n in [
+            INIT_CACHE as u64,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+        ] {
+            let mut block = [0u8; BLOCK_SIZE];
+            block[..8].copy_from_slice(&n.to_le_bytes());
+            let direct = words_from_bytes(&m.key.encrypt_block(&block));
+            assert_eq!(m.initial_state(n), direct, "n {n}");
+        }
+        assert_ne!(m.initial_state(u64::from(u32::MAX) + 1), m.initial_state(0));
     }
 
     #[test]

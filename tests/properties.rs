@@ -42,6 +42,62 @@ fn ctr_encryption_round_trips() {
     }
 }
 
+/// Both AES backends (AES-NI when the CPU has it, and the portable
+/// T-table path) against the byte-oriented reference: the FIPS-197
+/// Appendix B and C.1 vectors, then seeded random keys and blocks.
+#[test]
+fn aes_backends_match_reference_and_fips197() {
+    let kat_b = (
+        [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ],
+        [
+            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
+            0x07, 0x34,
+        ],
+        [
+            0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
+            0x0b, 0x32,
+        ],
+    );
+    let kat_c1 = (
+        core::array::from_fn(|i| i as u8),
+        core::array::from_fn(|i| i as u8 * 0x11),
+        [
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
+        ],
+    );
+    #[cfg(target_arch = "x86_64")]
+    let cpu_aes = std::arch::is_x86_feature_detected!("aes");
+    #[cfg(not(target_arch = "x86_64"))]
+    let cpu_aes = false;
+    if !cpu_aes {
+        eprintln!("note: no AES-NI on this CPU; the hardware backend is not exercised");
+    }
+    let check = |key: &[u8; 16], pt: &[u8; 16], ct: &[u8; 16]| {
+        let dispatched = Aes128::new(key);
+        assert_eq!(dispatched.is_hardware(), cpu_aes, "dispatch rule");
+        let portable = Aes128::new_portable(key);
+        assert_eq!(dispatched.encrypt_block(pt), *ct, "dispatched backend");
+        assert_eq!(portable.encrypt_block(pt), *ct, "portable backend");
+        assert_eq!(portable.encrypt_block_reference(pt), *ct, "reference");
+    };
+    for (key, pt, ct) in [kat_b, kat_c1] {
+        check(&key, &pt, &ct);
+    }
+    let mut rng = XorShift::new(0xAE5_0A11);
+    for _ in 0..16 {
+        let key: [u8; 16] = random_bytes(&mut rng);
+        let reference = Aes128::new_portable(&key);
+        for _ in 0..32 {
+            let pt: [u8; 16] = random_bytes(&mut rng);
+            check(&key, &pt, &reference.encrypt_block_reference(&pt));
+        }
+    }
+}
+
 #[test]
 fn mac_detects_any_single_bit_flip() {
     let mut rng = XorShift::new(0x3A_C0);
