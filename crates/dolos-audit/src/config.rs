@@ -64,7 +64,7 @@ pub const LINT_DESCRIPTIONS: [(&str, &str); 8] = [
     ),
     (
         LINT_UNSAFE_SCOPE,
-        "the `unsafe` keyword anywhere (tests included) outside dolos-crypto/src/aesni.rs",
+        "the `unsafe` keyword anywhere (tests, benches, examples, perfbench included) outside dolos-crypto/src/aesni.rs",
     ),
     (
         LINT_SUPPRESSION,

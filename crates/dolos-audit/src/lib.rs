@@ -56,18 +56,30 @@ use std::collections::BTreeMap;
 
 use config::{Config, LINT_PANIC_PATH, LINT_SUPPRESSION};
 use graph::{Graph, GraphFile};
-use lints::{analyze_file, try_suppress, SourceFile};
+use lints::{analyze_file, analyze_test_tree_file, try_suppress, SourceFile};
 use report::{Finding, Report, SuppressedSite};
 
 /// Audits a set of files under one policy.
 pub fn audit_files(files: &[SourceFile], config: &Config) -> Report {
+    audit_trees(files, &[], config)
+}
+
+/// Audits shipped `files` under every lint, and `test_files` (integration
+/// tests, benches, examples and `perfbench/`, see
+/// [`walk::collect_test_trees`]) under the unsafe-scope lint alone: no
+/// `forbid(unsafe_code)` covers them, and the other lints target shipped
+/// code.
+pub fn audit_trees(files: &[SourceFile], test_files: &[SourceFile], config: &Config) -> Report {
     // Phase A: per-file lexing, local lints, suppression extraction.
-    let mut analyses = Vec::with_capacity(files.len());
+    let mut analyses = Vec::with_capacity(files.len() + test_files.len());
     let mut graph_files = Vec::with_capacity(files.len());
     for file in files {
         let (analysis, tokens) = analyze_file(file, config);
         analyses.push(analysis);
         graph_files.push(GraphFile::new(&file.krate, &file.path, tokens));
+    }
+    for file in test_files {
+        analyses.push(analyze_test_tree_file(file, config));
     }
 
     // Phase B: item graph + interprocedural lints.
@@ -88,7 +100,7 @@ pub fn audit_files(files: &[SourceFile], config: &Config) -> Report {
     let mut suppressed = Vec::new();
     let mut panic_sites = 0usize;
     let mut sites_by_crate: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, file) in files.iter().enumerate() {
+    for (i, file) in files.iter().chain(test_files).enumerate() {
         let analysis = &mut analyses[i];
         findings.append(&mut analysis.pre_findings);
         let raw = std::mem::take(&mut analysis.raw);
@@ -156,7 +168,7 @@ pub fn audit_files(files: &[SourceFile], config: &Config) -> Report {
     suppressed.sort();
     Report {
         findings,
-        files_scanned: files.len(),
+        files_scanned: analyses.len(),
         panic_sites,
         suppressed,
     }
@@ -191,7 +203,8 @@ pub fn audit_sources(sources: &[(&str, &str, &str)], config: &Config) -> Report 
 /// Runs the workspace audit rooted at `root` with the standard policy.
 pub fn check_workspace(root: &std::path::Path) -> std::io::Result<Report> {
     let files = walk::collect_workspace(root)?;
+    let test_files = walk::collect_test_trees(root)?;
     let mut config = Config::workspace();
     config.crate_deps = walk::crate_dependencies(root)?;
-    Ok(audit_files(&files, &config))
+    Ok(audit_trees(&files, &test_files, &config))
 }

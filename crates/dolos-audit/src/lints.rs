@@ -127,6 +127,27 @@ pub(crate) fn analyze_file(file: &SourceFile, config: &Config) -> (FileAnalysis,
     )
 }
 
+/// Phase A for a file [`crate::walk::collect_test_trees`] found outside the
+/// shipped `src/` trees: only the unsafe-scope lint runs there, over every
+/// token, and the file counts no panic sites.
+pub(crate) fn analyze_test_tree_file(file: &SourceFile, config: &Config) -> FileAnalysis {
+    let lexed = lex(&file.text);
+    let regions = test_regions(&lexed.tokens);
+    let mut pre_findings = Vec::new();
+    let suppressions = parse_suppressions(&lexed.comments, &regions, &file.path, &mut pre_findings);
+    let mut raw = Vec::new();
+    if !Config::path_matches(&file.path, &config.unsafe_files) {
+        lint_unsafe_scope(&lexed.tokens, &file.path, &config.unsafe_files, &mut raw);
+    }
+    FileAnalysis {
+        pre_findings,
+        raw,
+        panic_lines: Vec::new(),
+        strict: false,
+        suppressions,
+    }
+}
+
 /// Extracts `audit:allow` suppressions, reporting malformed ones. Comments
 /// inside `#[cfg(test)]` regions are ignored — test code is not linted, so a
 /// suppression there could only ever be stale.

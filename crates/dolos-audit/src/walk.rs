@@ -3,13 +3,15 @@
 //! Enumerates the root package's `src/` plus every `crates/<name>/src/`
 //! tree, skipping `tests/`, `benches/`, and `examples/` directories (the
 //! lints target shipped code; test modules inside `src` are excluded at the
-//! token level via `#[cfg(test)]` region detection instead). Files come back
+//! token level via `#[cfg(test)]` region detection instead). Those skipped
+//! trees, and the `perfbench/` package, are collected separately by
+//! [`collect_test_trees`] for the one lint that reads them. Files come back
 //! sorted by path so reports and the ratchet count are order-stable.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lints::SourceFile;
 
@@ -23,28 +25,65 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     if root_src.is_dir() {
         collect_dir(&root_src, "dolos", root, &mut files)?;
     }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut crate_dirs: Vec<_> = fs::read_dir(&crates)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            let krate = dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let src = dir.join("src");
-            if src.is_dir() {
-                collect_dir(&src, &krate, root, &mut files)?;
-            }
+    for (dir, krate) in crate_dirs(root)? {
+        let src = dir.join("src");
+        if src.is_dir() {
+            collect_dir(&src, &krate, root, &mut files)?;
         }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
+}
+
+/// Collects the `.rs` files outside the shipped `src/` trees: the
+/// `tests/`, `benches/` and `examples/` directories of the root package and
+/// of every crate, plus the standalone `perfbench/` package. No
+/// `forbid(unsafe_code)` covers them, so the unsafe-scope lint reads them
+/// (and only that lint: the others target shipped code).
+pub fn collect_test_trees(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut trees = vec![(root.to_path_buf(), "dolos".to_string())];
+    trees.extend(crate_dirs(root)?);
+    trees.push((root.join("perfbench"), "perfbench".to_string()));
+    let mut files = Vec::new();
+    for (dir, krate) in &trees {
+        for sub in ["tests", "benches", "examples"] {
+            let tree = dir.join(sub);
+            if tree.is_dir() {
+                collect_dir(&tree, krate, root, &mut files)?;
+            }
+        }
+    }
+    let perfbench_src = root.join("perfbench").join("src");
+    if perfbench_src.is_dir() {
+        collect_dir(&perfbench_src, "perfbench", root, &mut files)?;
+    }
+    files.sort_by(|a, b| a.path.cmp(&b.path));
+    Ok(files)
+}
+
+/// Every `crates/<name>/` directory with its crate name, sorted by path.
+fn crate_dirs(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
+    let crates = root.join("crates");
+    if !crates.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut dirs: Vec<_> = fs::read_dir(&crates)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    Ok(dirs
+        .into_iter()
+        .map(|dir| {
+            let krate = dir
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            (dir, krate)
+        })
+        .collect())
 }
 
 /// Parses the workspace `Cargo.toml`s into a direct-dependency map

@@ -14,8 +14,9 @@
 use std::collections::BTreeMap;
 
 use dolos_audit::config::Config;
+use dolos_audit::lints::SourceFile;
 use dolos_audit::report::Report;
-use dolos_audit::{audit_files, audit_source, audit_sources, check_workspace, walk};
+use dolos_audit::{audit_source, audit_sources, audit_trees, check_workspace, walk};
 
 fn fixture_config() -> Config {
     Config {
@@ -221,6 +222,40 @@ fn unsafe_scope_suppression_with_reason_holds() {
     let src = "// audit:allow(unsafe-scope) -- FFI shim reviewed separately\n\
                fn f() { unsafe { g() } }\n";
     assert!(lints_fired("src/a.rs", "other", src).is_empty());
+}
+
+#[test]
+fn unsafe_scope_reads_integration_tests_benches_and_perfbench() {
+    // Files outside `src/` run under this lint alone: the panic-path
+    // `unwrap` below is neither a finding nor a counted site there.
+    let test_file = |path: &str, text: &str| SourceFile {
+        path: path.into(),
+        krate: "other".into(),
+        text: text.into(),
+    };
+    let report = audit_trees(
+        &[],
+        &[
+            test_file("tests/it.rs", "#[test]\nfn t() { unsafe { g() } }\n"),
+            test_file("benches/b.rs", "fn main() { let x = y().unwrap(); }\n"),
+            test_file("perfbench/src/lib.rs", "unsafe fn g() {}\n"),
+        ],
+        &fixture_config(),
+    );
+    let fired: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.lint.as_str()))
+        .collect();
+    assert_eq!(
+        fired,
+        vec![
+            ("perfbench/src/lib.rs", "unsafe-scope"),
+            ("tests/it.rs", "unsafe-scope")
+        ]
+    );
+    assert_eq!(report.panic_sites, 0);
+    assert_eq!(report.files_scanned, 3);
 }
 
 // --- persistence-domain (call-graph form) ---------------------------------
@@ -476,8 +511,10 @@ fn active_suppressions_appear_in_the_inventory() {
 fn grafted_workspace(path_suffix: &str, anchor: &str, replacement: &str) -> Report {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut files = walk::collect_workspace(&root).expect("workspace readable");
+    let mut test_files = walk::collect_test_trees(&root).expect("workspace readable");
     let file = files
         .iter_mut()
+        .chain(test_files.iter_mut())
         .find(|f| f.path.ends_with(path_suffix))
         .expect("graft target exists");
     assert!(
@@ -487,7 +524,7 @@ fn grafted_workspace(path_suffix: &str, anchor: &str, replacement: &str) -> Repo
     file.text = file.text.replace(anchor, replacement);
     let mut config = Config::workspace();
     config.crate_deps = walk::crate_dependencies(&root).expect("manifests readable");
-    audit_files(&files, &config)
+    audit_trees(&files, &test_files, &config)
 }
 
 #[test]
@@ -543,6 +580,29 @@ fn graft_unsafe_outside_aesni_fires_unsafe_scope() {
         .collect();
     assert_eq!(hits.len(), 1, "{}", report.to_text());
     assert!(hits[0].file.ends_with("dolos-crypto/src/aes.rs"));
+}
+
+#[test]
+fn graft_unsafe_in_integration_test_and_perfbench_fires_unsafe_scope() {
+    // Integration tests and the perfbench package sit outside every
+    // `src/` tree the compiler's `forbid(unsafe_code)` covers; the audit
+    // must still reach them.
+    for (path, anchor) in [
+        (
+            "dolos-crypto/tests/aes_lockstep.rs",
+            "fn cpu_has_aesni() -> bool {",
+        ),
+        ("perfbench/src/layers.rs", "use std::hint::black_box;"),
+    ] {
+        let report = grafted_workspace(path, anchor, &format!("{anchor}\nunsafe fn f() {{}}"));
+        let hits: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.lint == "unsafe-scope")
+            .collect();
+        assert_eq!(hits.len(), 1, "{path}: {}", report.to_text());
+        assert!(hits[0].file.ends_with(path), "{}", hits[0].file);
+    }
 }
 
 #[test]

@@ -55,27 +55,41 @@ const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-/// The round T-tables: `TE[0][x]` is the MixColumns output column (as a
+/// The round T-table: `TE0[x]` is the MixColumns output column (as a
 /// big-endian word, row 0 in the high byte) for an input column whose row-0
 /// byte is `SubBytes(x)` and whose other rows are zero:
-/// `[2·S(x), S(x), S(x), 3·S(x)]`. `TE[r]` is its byte rotation for row
-/// `r`, materialized at compile time: a direct load per state byte is
-/// measurably faster than three register rotates.
-const TE: [[u32; 256]; 4] = {
-    let mut t = [[0u32; 256]; 4];
+/// `[2·S(x), S(x), S(x), 3·S(x)]`. The row-1/2/3 tables are byte rotations
+/// of this one (`TE0[x].rotate_right(8·r)`), so a single 1 KiB table covers
+/// the whole round at the cost of three register rotates.
+const TE0: [u32; 256] = {
+    let mut t = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let s = SBOX[i];
-        let column = u32::from_be_bytes([xtime(s), s, s, s ^ xtime(s)]);
-        let mut r = 0;
-        while r < 4 {
-            t[r][i] = column.rotate_right(8 * r as u32);
-            r += 1;
-        }
+        let s2 = xtime(s);
+        let s3 = s ^ s2;
+        t[i] = ((s2 as u32) << 24) | ((s as u32) << 16) | ((s as u32) << 8) | (s3 as u32);
         i += 1;
     }
     t
 };
+
+/// Byte-rotated copies of [`TE0`] for rows 1–3, materialized at compile
+/// time: four 1 KiB tables trade 3 register rotates per state byte for a
+/// direct load each, which measurably matters at ~100M block encrypts per
+/// full-scale bench run.
+const fn rotated(table: &[u32; 256], bits: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = table[i].rotate_right(bits);
+        i += 1;
+    }
+    t
+}
+const TE1: [u32; 256] = rotated(&TE0, 8);
+const TE2: [u32; 256] = rotated(&TE0, 16);
+const TE3: [u32; 256] = rotated(&TE0, 24);
 
 /// An expanded AES-128 key schedule (11 round keys).
 ///
@@ -95,7 +109,8 @@ const TE: [[u32; 256]; 4] = {
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
-    /// The same schedule as column words (`rk[4r + c]` = round `r`, column `c`).
+    /// The same schedule as big-endian column words, the layout the T-table
+    /// rounds consume (`rk[4r + c]` = round `r`, column `c`).
     rk: [u32; 44],
     backend: Backend,
 }
@@ -149,22 +164,33 @@ impl Aes128 {
     /// path. Exists so tests can run both backends on an AES-NI host.
     #[doc(hidden)]
     pub fn new_portable(key: &[u8; 16]) -> Self {
-        // FIPS-197 §5.2, in the word domain (`rk` is the schedule `w`).
-        let mut rk = [0u32; 44];
-        for (i, w) in rk.iter_mut().take(4).enumerate() {
-            *w = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut words = [[0u8; 4]; 44];
+        for (i, chunk) in key.chunks_exact(4).enumerate() {
+            words[i].copy_from_slice(chunk);
         }
         for i in 4..44 {
-            let mut temp = rk[i - 1];
+            let mut temp = words[i - 1];
             if i % 4 == 0 {
-                let sub = temp.rotate_left(8).to_be_bytes().map(|b| SBOX[b as usize]);
-                temp = u32::from_be_bytes(sub) ^ u32::from(RCON[i / 4 - 1]) << 24;
+                temp.rotate_left(1);
+                for byte in &mut temp {
+                    *byte = SBOX[*byte as usize];
+                }
+                temp[0] ^= RCON[i / 4 - 1];
             }
-            rk[i] = rk[i - 4] ^ temp;
+            for j in 0..4 {
+                words[i][j] = words[i - 4][j] ^ temp[j];
+            }
         }
-        let round_keys = core::array::from_fn(|r| {
-            bytes_from_words(&[rk[4 * r], rk[4 * r + 1], rk[4 * r + 2], rk[4 * r + 3]])
-        });
+        let mut round_keys = [[0u8; 16]; 11];
+        for (r, rk) in round_keys.iter_mut().enumerate() {
+            for c in 0..4 {
+                rk[4 * c..4 * c + 4].copy_from_slice(&words[4 * r + c]);
+            }
+        }
+        let mut rk = [0u32; 44];
+        for (i, w) in rk.iter_mut().enumerate() {
+            *w = u32::from_be_bytes(words[i]);
+        }
         Self {
             round_keys,
             rk,
@@ -177,91 +203,42 @@ impl Aes128 {
         !matches!(self.backend, Backend::Portable)
     }
 
-    /// Encrypts one 16-byte block with the key's backend, bit-for-bit
-    /// [`Self::encrypt_block_reference`] (pinned by the lockstep suite).
+    /// Encrypts one 16-byte block with the key's backend.
+    ///
+    /// Bit-for-bit identical to [`Self::encrypt_block_reference`]; the
+    /// lockstep suite and the FIPS-197 vectors pin the equivalence.
+    /// `#[inline]` so the CBC-MAC and pad loops (including cross-crate
+    /// callers) fold the call away — this function runs ~100M times per
+    /// full-scale bench.
     #[inline]
     pub fn encrypt_block(&self, plaintext: &Block) -> Block {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi(ni) => ni.encrypt_block(&self.round_keys, plaintext),
-            Backend::Portable => {
-                bytes_from_words(&self.table_blocks([words_from_bytes(plaintext)])[0])
-            }
+            Backend::Portable => bytes_from_words(&self.table_words(words_from_bytes(plaintext))),
         }
     }
 
-    /// Encrypts one block in the word representation: 4 big-endian column
-    /// words, row 0 in each word's high byte (see [`words_from_bytes`]).
+    /// Encrypts one block given (and returned) in the T-table state
+    /// representation: 4 big-endian column words, row 0 in each word's high
+    /// byte. Byte-identical to [`Self::encrypt_block`] modulo the
+    /// [`words_from_bytes`]/`to_be_bytes` packing. The in-crate CBC-MAC and
+    /// CTR loops chain blocks in this domain so the byte↔word conversion
+    /// happens once per message, not once per cipher call.
     #[inline]
     pub fn encrypt_words(&self, w: [u32; 4]) -> [u32; 4] {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi(ni) => ni.encrypt_words(&self.round_keys, w),
-            Backend::Portable => self.table_blocks([w])[0],
+            Backend::Portable => self.table_words(w),
         }
-    }
-
-    /// Encrypts four independent blocks (word representation) in one
-    /// interleaved pass: one block is a latency-bound chain of rounds, and
-    /// four overlap. Byte-identical to four [`Self::encrypt_words`] calls.
-    #[inline]
-    pub fn encrypt_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(ni) => ni.encrypt_words4(&self.round_keys, blocks),
-            Backend::Portable => self.table_blocks(blocks),
-        }
-    }
-
-    /// The portable T-table cipher over `N` independent blocks (word
-    /// representation), interleaved round by round: one block is a chain
-    /// of dependent table loads, and four (a line's pad) overlap four
-    /// chains.
-    #[inline]
-    fn table_blocks<const N: usize>(&self, blocks: [[u32; 4]; N]) -> [[u32; 4]; N] {
-        let rk = &self.rk;
-        let add_key = |[w0, w1, w2, w3]: [u32; 4], r: usize| {
-            [
-                w0 ^ rk[4 * r],
-                w1 ^ rk[4 * r + 1],
-                w2 ^ rk[4 * r + 2],
-                w3 ^ rk[4 * r + 3],
-            ]
-        };
-        // SubBytes ∘ ShiftRows ∘ MixColumns, one table lookup per state
-        // byte: output column j reads row r from input column j + r (mod 4).
-        let te = |w: u32, row: usize| TE[row][((w >> (24 - 8 * row)) & 0xff) as usize];
-        let mix = |a: u32, b: u32, c: u32, d: u32| te(a, 0) ^ te(b, 1) ^ te(c, 2) ^ te(d, 3);
-        // The final round's SubBytes ∘ ShiftRows (no MixColumns).
-        let sb = |w: u32, shift: u32| u32::from(SBOX[((w >> shift) & 0xff) as usize]) << shift;
-        let last = |a: u32, b: u32, c: u32, d: u32| sb(a, 24) | sb(b, 16) | sb(c, 8) | sb(d, 0);
-        let mut s = blocks.map(|b| add_key(b, 0));
-        for r in 1..10 {
-            s = s.map(|[w0, w1, w2, w3]| {
-                let t = [
-                    mix(w0, w1, w2, w3),
-                    mix(w1, w2, w3, w0),
-                    mix(w2, w3, w0, w1),
-                    mix(w3, w0, w1, w2),
-                ];
-                add_key(t, r)
-            });
-        }
-        s.map(|[w0, w1, w2, w3]| {
-            let t = [
-                last(w0, w1, w2, w3),
-                last(w1, w2, w3, w0),
-                last(w2, w3, w0, w1),
-                last(w3, w0, w1, w2),
-            ];
-            add_key(t, 10)
-        })
     }
 
     /// Encrypts the four counter blocks `[base[0], base[1] ^ (first + k),
     /// base[2], base[3]]`, `k` = 0..4, and returns them as bytes: 64 bytes
-    /// of counter-mode pad. Byte-identical to [`Self::encrypt_words4`] on
-    /// those blocks; the hardware backend builds them in registers.
+    /// of counter-mode pad. Byte-identical to four [`Self::encrypt_words`]
+    /// calls on those blocks; both backends interleave the four (they are
+    /// independent), and the hardware one builds them in registers.
     #[inline]
     pub fn encrypt_counter4(&self, base: [u32; 4], first: u32) -> [Block; 4] {
         match self.backend {
@@ -269,8 +246,9 @@ impl Aes128 {
             Backend::AesNi(ni) => ni.encrypt_counter4(&self.round_keys, base, first),
             Backend::Portable => {
                 let [b0, b1, b2, b3] = base;
-                let blocks = core::array::from_fn(|k| [b0, b1 ^ (first + k as u32), b2, b3]);
-                self.table_blocks(blocks).map(|w| bytes_from_words(&w))
+                let ctr = |k: u32| [b0, b1 ^ (first + k), b2, b3];
+                self.table_words4([ctr(0), ctr(1), ctr(2), ctr(3)])
+                    .map(|w| bytes_from_words(&w))
             }
         }
     }
@@ -284,11 +262,135 @@ impl Aes128 {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi(ni) => ni.cbc_words(&self.round_keys, state, message),
-            Backend::Portable => message.chunks(BLOCK_SIZE).fold(state, |mut s, chunk| {
-                xor_chunk(&mut s, chunk);
-                self.table_blocks([s])[0]
-            }),
+            Backend::Portable => {
+                let mut state = state;
+                for chunk in message.chunks(BLOCK_SIZE) {
+                    xor_chunk(&mut state, chunk);
+                    state = self.table_words(state);
+                }
+                state
+            }
         }
+    }
+
+    /// The portable T-table cipher on one block (word representation).
+    #[inline]
+    fn table_words(&self, w: [u32; 4]) -> [u32; 4] {
+        let rk = &self.rk;
+        let mut w0 = w[0] ^ rk[0];
+        let mut w1 = w[1] ^ rk[1];
+        let mut w2 = w[2] ^ rk[2];
+        let mut w3 = w[3] ^ rk[3];
+        // SubBytes ∘ ShiftRows ∘ MixColumns ∘ AddRoundKey, one table lookup
+        // per state byte: output column j reads row r from input column
+        // j + r (mod 4). Unrolled by hand — with a literal round number every
+        // schedule index is a constant, so the 9 rounds compile to straight
+        // bounds-check-free loads with no loop-carried register shuffle
+        // (measurably faster than the rolled loop on the bench host).
+        macro_rules! round {
+            ($r:literal) => {
+                let t0 = TE0[(w0 >> 24) as usize]
+                    ^ TE1[((w1 >> 16) & 0xff) as usize]
+                    ^ TE2[((w2 >> 8) & 0xff) as usize]
+                    ^ TE3[(w3 & 0xff) as usize]
+                    ^ rk[4 * $r];
+                let t1 = TE0[(w1 >> 24) as usize]
+                    ^ TE1[((w2 >> 16) & 0xff) as usize]
+                    ^ TE2[((w3 >> 8) & 0xff) as usize]
+                    ^ TE3[(w0 & 0xff) as usize]
+                    ^ rk[4 * $r + 1];
+                let t2 = TE0[(w2 >> 24) as usize]
+                    ^ TE1[((w3 >> 16) & 0xff) as usize]
+                    ^ TE2[((w0 >> 8) & 0xff) as usize]
+                    ^ TE3[(w1 & 0xff) as usize]
+                    ^ rk[4 * $r + 2];
+                let t3 = TE0[(w3 >> 24) as usize]
+                    ^ TE1[((w0 >> 16) & 0xff) as usize]
+                    ^ TE2[((w1 >> 8) & 0xff) as usize]
+                    ^ TE3[(w2 & 0xff) as usize]
+                    ^ rk[4 * $r + 3];
+                w0 = t0;
+                w1 = t1;
+                w2 = t2;
+                w3 = t3;
+            };
+        }
+        round!(1);
+        round!(2);
+        round!(3);
+        round!(4);
+        round!(5);
+        round!(6);
+        round!(7);
+        round!(8);
+        round!(9);
+        // Final round: SubBytes ∘ ShiftRows ∘ AddRoundKey (no MixColumns).
+        let sb = |w: u32| SBOX[(w & 0xff) as usize] as u32;
+        let t0 = (sb(w0 >> 24) << 24) | (sb(w1 >> 16) << 16) | (sb(w2 >> 8) << 8) | sb(w3);
+        let t1 = (sb(w1 >> 24) << 24) | (sb(w2 >> 16) << 16) | (sb(w3 >> 8) << 8) | sb(w0);
+        let t2 = (sb(w2 >> 24) << 24) | (sb(w3 >> 16) << 16) | (sb(w0 >> 8) << 8) | sb(w1);
+        let t3 = (sb(w3 >> 24) << 24) | (sb(w0 >> 16) << 16) | (sb(w1 >> 8) << 8) | sb(w2);
+        [t0 ^ rk[40], t1 ^ rk[41], t2 ^ rk[42], t3 ^ rk[43]]
+    }
+
+    /// The portable T-table cipher on four independent blocks (word
+    /// representation, see [`words_from_bytes`]) in one interleaved pass.
+    ///
+    /// A single CBC chain is latency-bound: each round's table loads wait on
+    /// the previous round's result, so the core idles most of its load
+    /// ports. Counter-mode pads have no such dependency — the four blocks of
+    /// a cacheline pad are independent — and interleaving them per round
+    /// converts the load *latency* bound into a load *throughput* bound.
+    /// Byte-identical to four [`Self::table_words`] calls.
+    #[inline]
+    fn table_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
+        let rk = &self.rk;
+        let mut s = blocks;
+        for b in s.iter_mut() {
+            b[0] ^= rk[0];
+            b[1] ^= rk[1];
+            b[2] ^= rk[2];
+            b[3] ^= rk[3];
+        }
+        for round in 1..10 {
+            let k0 = rk[4 * round];
+            let k1 = rk[4 * round + 1];
+            let k2 = rk[4 * round + 2];
+            let k3 = rk[4 * round + 3];
+            for b in s.iter_mut() {
+                let t0 = TE0[(b[0] >> 24) as usize]
+                    ^ TE1[((b[1] >> 16) & 0xff) as usize]
+                    ^ TE2[((b[2] >> 8) & 0xff) as usize]
+                    ^ TE3[(b[3] & 0xff) as usize]
+                    ^ k0;
+                let t1 = TE0[(b[1] >> 24) as usize]
+                    ^ TE1[((b[2] >> 16) & 0xff) as usize]
+                    ^ TE2[((b[3] >> 8) & 0xff) as usize]
+                    ^ TE3[(b[0] & 0xff) as usize]
+                    ^ k1;
+                let t2 = TE0[(b[2] >> 24) as usize]
+                    ^ TE1[((b[3] >> 16) & 0xff) as usize]
+                    ^ TE2[((b[0] >> 8) & 0xff) as usize]
+                    ^ TE3[(b[1] & 0xff) as usize]
+                    ^ k2;
+                let t3 = TE0[(b[3] >> 24) as usize]
+                    ^ TE1[((b[0] >> 16) & 0xff) as usize]
+                    ^ TE2[((b[1] >> 8) & 0xff) as usize]
+                    ^ TE3[(b[2] & 0xff) as usize]
+                    ^ k3;
+                *b = [t0, t1, t2, t3];
+            }
+        }
+        let sb = |w: u32| SBOX[(w & 0xff) as usize] as u32;
+        for b in s.iter_mut() {
+            let [w0, w1, w2, w3] = *b;
+            let t0 = (sb(w0 >> 24) << 24) | (sb(w1 >> 16) << 16) | (sb(w2 >> 8) << 8) | sb(w3);
+            let t1 = (sb(w1 >> 24) << 24) | (sb(w2 >> 16) << 16) | (sb(w3 >> 8) << 8) | sb(w0);
+            let t2 = (sb(w2 >> 24) << 24) | (sb(w3 >> 16) << 16) | (sb(w0 >> 8) << 8) | sb(w1);
+            let t3 = (sb(w3 >> 24) << 24) | (sb(w0 >> 16) << 16) | (sb(w1 >> 8) << 8) | sb(w2);
+            *b = [t0 ^ rk[40], t1 ^ rk[41], t2 ^ rk[42], t3 ^ rk[43]];
+        }
+        s
     }
 
     /// Encrypts one 16-byte block with the byte-oriented reference cipher.
@@ -319,9 +421,12 @@ impl Aes128 {
 /// [`Aes128::encrypt_words`] convert once at each end of the message.
 #[inline]
 pub fn words_from_bytes(b: &Block) -> [u32; 4] {
-    core::array::from_fn(|c| {
-        u32::from_be_bytes([b[4 * c], b[4 * c + 1], b[4 * c + 2], b[4 * c + 3]])
-    })
+    [
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
+        u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+        u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+        u32::from_be_bytes([b[12], b[13], b[14], b[15]]),
+    ]
 }
 
 /// Unpacks a T-table state (see [`words_from_bytes`]) back into block bytes.
@@ -336,22 +441,33 @@ pub fn bytes_from_words(w: &[u32; 4]) -> Block {
 }
 
 /// XORs up to one block of message bytes into a word-representation state,
-/// zero-padding a short chunk.
+/// zero-padding a short chunk (equivalent to the byte-domain `zip` XOR,
+/// which simply leaves trailing state bytes untouched).
 #[inline]
 fn xor_chunk(state: &mut [u32; 4], chunk: &[u8]) {
-    let mut block = [0u8; BLOCK_SIZE];
-    block[..chunk.len()].copy_from_slice(chunk);
-    for (s, w) in state.iter_mut().zip(words_from_bytes(&block)) {
-        *s ^= w;
+    if chunk.len() == BLOCK_SIZE {
+        state[0] ^= u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        state[1] ^= u32::from_be_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        state[2] ^= u32::from_be_bytes([chunk[8], chunk[9], chunk[10], chunk[11]]);
+        state[3] ^= u32::from_be_bytes([chunk[12], chunk[13], chunk[14], chunk[15]]);
+    } else {
+        let mut block = [0u8; BLOCK_SIZE];
+        block[..chunk.len()].copy_from_slice(chunk);
+        state[0] ^= u32::from_be_bytes([block[0], block[1], block[2], block[3]]);
+        state[1] ^= u32::from_be_bytes([block[4], block[5], block[6], block[7]]);
+        state[2] ^= u32::from_be_bytes([block[8], block[9], block[10], block[11]]);
+        state[3] ^= u32::from_be_bytes([block[12], block[13], block[14], block[15]]);
     }
 }
 
+#[inline]
 fn add_round_key(state: &mut Block, rk: &[u8; 16]) {
     for (s, k) in state.iter_mut().zip(rk.iter()) {
         *s ^= k;
     }
 }
 
+#[inline]
 fn sub_bytes(state: &mut Block) {
     for b in state.iter_mut() {
         *b = SBOX[*b as usize];
@@ -360,6 +476,7 @@ fn sub_bytes(state: &mut Block) {
 
 /// Row-major shift on the column-major state layout: byte `i` sits at
 /// row `i % 4`, column `i / 4`.
+#[inline]
 fn shift_rows(state: &mut Block) {
     let s = *state;
     for row in 1..4 {
@@ -369,6 +486,7 @@ fn shift_rows(state: &mut Block) {
     }
 }
 
+#[inline]
 fn mix_columns(state: &mut Block) {
     for col in 0..4 {
         let a0 = state[4 * col];
@@ -446,30 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_quad_matches_single_block_path() {
-        // encrypt_words4 must be byte-identical to four encrypt_block calls
-        // for arbitrary (including equal and structured) inputs.
-        let key = Aes128::new(&[0x3Cu8; 16]);
-        let mut blocks = [[0u8; 16]; 4];
-        for (k, block) in blocks.iter_mut().enumerate() {
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = (k * 37 + i * 11) as u8;
-            }
-        }
-        blocks[2] = blocks[0]; // duplicate inputs must not interfere
-        let quad = key.encrypt_words4([
-            words_from_bytes(&blocks[0]),
-            words_from_bytes(&blocks[1]),
-            words_from_bytes(&blocks[2]),
-            words_from_bytes(&blocks[3]),
-        ]);
-        for (block, words) in blocks.iter().zip(quad.iter()) {
-            assert_eq!(bytes_from_words(words), key.encrypt_block(block));
-            assert_eq!(bytes_from_words(words), key.encrypt_block_reference(block));
-        }
-    }
-
-    #[test]
     fn word_packing_round_trips() {
         let mut block = [0u8; 16];
         for (i, b) in block.iter_mut().enumerate() {
@@ -506,7 +600,7 @@ mod tests {
         for &x in &[0u8, 1, 0x53, 0xFF] {
             let s = SBOX[x as usize];
             let expected = u32::from_be_bytes([xtime(s), s, s, s ^ xtime(s)]);
-            assert_eq!(TE[0][x as usize], expected, "TE[0][{x:#x}]");
+            assert_eq!(TE0[x as usize], expected, "TE0[{x:#x}]");
         }
     }
 

@@ -48,12 +48,6 @@ impl AesNi {
     }
 
     #[inline]
-    pub(crate) fn encrypt_words4(self, rk: &Keys, s: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
-        // SAFETY: `self` proves AES-NI was detected at runtime.
-        unsafe { encrypt4(rk, s.map(from_words)) }.map(to_words)
-    }
-
-    #[inline]
     pub(crate) fn encrypt_counter4(self, rk: &Keys, base: [u32; 4], first: u32) -> [Block; 4] {
         // SAFETY: `self` proves AES-NI was detected at runtime.
         unsafe { encrypt_counter4(rk, from_words(base), first) }
@@ -143,11 +137,6 @@ fn encrypt_block(rk: &Keys, block: &Block) -> Block {
 #[target_feature(enable = "aes")]
 fn encrypt(rk: &Keys, block: Lanes) -> Lanes {
     store(rounds(rk, load(block)))
-}
-
-#[target_feature(enable = "aes")]
-fn encrypt4(rk: &Keys, blocks: [Lanes; 4]) -> [Lanes; 4] {
-    rounds4(rk, blocks.map(|b| load(b))).map(|x| store(x))
 }
 
 /// The blocks `base ^ (first + k)` in word 1 (lane bytes 4..8, big-endian),

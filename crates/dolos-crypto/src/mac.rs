@@ -11,18 +11,23 @@ use crate::aes::{Aes128, BLOCK_SIZE};
 /// A 64-bit truncated MAC tag.
 pub type Mac64 = [u8; 8];
 
-/// The CBC state in the cipher's word representation (a bijection of the
-/// bytes, see [`crate::aes::words_from_bytes`]), so chains skip repacking.
+/// The CBC state in the cipher's word representation (see
+/// [`crate::aes::words_from_bytes`]). Chaining in this domain skips the
+/// byte↔word packing on every cipher call; the packing is a bijection, so
+/// tags stay byte-identical to the byte-domain formulation.
 type StateWords = [u32; 4];
 
-/// Absorbs the length block for `n` (`n` little-endian in bytes 0..8, zeros
-/// after): `state = E(state ^ len_block(n))`.
+/// The length-prefix block (`n` little-endian in bytes 0..8, zeros after) in
+/// the word representation.
 #[inline]
-fn absorb_len(key: &Aes128, mut state: StateWords, n: u64) -> StateWords {
-    let [l0, l1, l2, l3, l4, l5, l6, l7] = n.to_le_bytes();
-    state[0] ^= u32::from_be_bytes([l0, l1, l2, l3]);
-    state[1] ^= u32::from_be_bytes([l4, l5, l6, l7]);
-    key.encrypt_words(state)
+fn len_words(n: u64) -> StateWords {
+    let le = n.to_le_bytes();
+    [
+        u32::from_be_bytes([le[0], le[1], le[2], le[3]]),
+        u32::from_be_bytes([le[4], le[5], le[6], le[7]]),
+        0,
+        0,
+    ]
 }
 
 /// Truncates the final state to the 64-bit tag (state bytes 0..8).
@@ -85,7 +90,7 @@ impl MacEngine {
     pub fn from_cipher(key: Aes128) -> Self {
         let mut init = [[0u32; 4]; INIT_CACHE];
         for (n, state) in init.iter_mut().enumerate() {
-            *state = absorb_len(&key, [0; 4], n as u64);
+            *state = key.encrypt_words(len_words(n as u64));
         }
         Self { key, init }
     }
@@ -98,7 +103,7 @@ impl MacEngine {
         if let Some(state) = usize::try_from(n).ok().and_then(|i| self.init.get(i)) {
             *state
         } else {
-            absorb_len(&self.key, [0; 4], n)
+            self.key.encrypt_words(len_words(n))
         }
     }
 
@@ -117,7 +122,10 @@ impl MacEngine {
     pub fn tag_parts(&self, parts: &[&[u8]]) -> Mac64 {
         let mut state = self.initial_state(parts.len() as u64);
         for part in parts {
-            state = absorb_len(&self.key, state, part.len() as u64);
+            let lw = len_words(part.len() as u64);
+            state[0] ^= lw[0];
+            state[1] ^= lw[1];
+            state = self.key.encrypt_words(state);
             state = self.key.cbc_words(state, part);
         }
         truncate_tag(&state)
@@ -140,7 +148,16 @@ impl MacEngine {
     /// sequences — hot paths use this to MAC table-sized part lists without
     /// first collecting them into a `Vec<&[u8]>` or concatenation buffers.
     pub fn streamer(&self, part_count: usize) -> CbcMac<'_> {
-        self.open(part_count as u64, part_count, None)
+        CbcMac {
+            key: &self.key,
+            state: self.initial_state(part_count as u64),
+            buf: [0u8; BLOCK_SIZE],
+            buf_len: 0,
+            in_part: false,
+            parts_left: part_count,
+            expected: 0,
+            fed: 0,
+        }
     }
 
     /// Starts a streaming computation equivalent to [`Self::tag`] over a
@@ -159,20 +176,14 @@ impl MacEngine {
     /// block is absorbed — the chaining exactly mirrors `tag`'s, so the
     /// two formulations stay interchangeable per call site, never mixed.
     pub fn stream_tag(&self, message_len: u64) -> CbcMac<'_> {
-        self.open(message_len, 0, Some(message_len))
-    }
-
-    /// A stream whose first block encodes `first_len`, expecting
-    /// `parts_left` parts, already inside a part of `open_part` bytes if set.
-    fn open(&self, first_len: u64, parts_left: usize, open_part: Option<u64>) -> CbcMac<'_> {
         CbcMac {
             key: &self.key,
-            state: self.initial_state(first_len),
+            state: self.initial_state(message_len),
             buf: [0u8; BLOCK_SIZE],
             buf_len: 0,
-            in_part: open_part.is_some(),
-            parts_left,
-            expected: open_part.unwrap_or(0),
+            in_part: true,
+            parts_left: 0,
+            expected: message_len,
             fed: 0,
         }
     }
@@ -233,9 +244,14 @@ impl CbcMac<'_> {
         assert!(self.parts_left > 0, "more parts fed than declared");
         self.parts_left -= 1;
         self.in_part = true;
+        self.buf = [0u8; BLOCK_SIZE];
+        self.buf_len = 0;
         self.expected = part_len;
         self.fed = 0;
-        self.state = absorb_len(self.key, self.state, part_len);
+        let lw = len_words(part_len);
+        self.state[0] ^= lw[0];
+        self.state[1] ^= lw[1];
+        self.state = self.key.encrypt_words(self.state);
     }
 
     /// Feeds part bytes; may be called any number of times per part.
@@ -275,6 +291,8 @@ impl CbcMac<'_> {
             self.buf_len = 0;
         }
         self.in_part = false;
+        self.fed = 0;
+        self.expected = 0;
     }
 
     /// Returns the 64-bit tag. All declared parts must have been fed.

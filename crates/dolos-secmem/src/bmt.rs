@@ -47,18 +47,6 @@ use std::collections::BTreeMap;
 /// Tree arity (8-ary, Table 1).
 pub const ARITY: u64 = 8;
 
-/// Levels of MACs above `leaves` leaves: at least one, so even a
-/// single-leaf tree has a root distinct from the leaf itself.
-pub(crate) fn tree_height(leaves: u64) -> usize {
-    let mut height = 1;
-    let mut width = leaves.div_ceil(ARITY);
-    while width > 1 {
-        width = width.div_ceil(ARITY);
-        height += 1;
-    }
-    height
-}
-
 /// The 8-ary Bonsai Merkle Tree.
 ///
 /// # Examples
@@ -101,7 +89,15 @@ impl BonsaiMerkleTree {
     /// Panics if `leaves` is zero.
     pub fn new(leaves: u64, engine: &MacEngine) -> Self {
         assert!(leaves > 0, "tree must cover at least one leaf");
-        let height = tree_height(leaves);
+        let mut height = 0usize;
+        let mut width = leaves;
+        while width > 1 {
+            width = width.div_ceil(ARITY);
+            height += 1;
+        }
+        // Always at least one MAC level so even a single-leaf tree has a root
+        // distinct from the leaf itself.
+        let height = height.max(1);
 
         // defaults[0] = MAC of an all-zero leaf line; defaults[l] = MAC of
         // eight default children.

@@ -39,7 +39,7 @@ use dolos_crypto::mac::{Mac64, MacEngine};
 use dolos_nvm::Line;
 use dolos_sim::flat::FlatMap;
 
-use crate::bmt::{tree_height, ARITY};
+use crate::bmt::ARITY;
 
 /// One ToC node: per-child version counters plus the node MAC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,13 @@ impl TreeOfCounters {
     /// Panics if `leaves` is zero.
     pub fn new(leaves: u64, engine: &MacEngine) -> Self {
         assert!(leaves > 0, "tree must cover at least one leaf");
-        let height = tree_height(leaves);
+        let mut height = 0usize;
+        let mut width = leaves;
+        while width > 1 {
+            width = width.div_ceil(ARITY);
+            height += 1;
+        }
+        let height = height.max(1);
         let mut toc = Self {
             leaves,
             height,
