@@ -6,7 +6,7 @@ use dolos_bench::microbench::{bb, Bench};
 use dolos_crypto::aes::Aes128;
 use dolos_crypto::ctr::{generate_pad, pad_line, xor_in_place, IvBuilder};
 use dolos_crypto::mac::MacEngine;
-use dolos_secmem::bmt::BonsaiMerkleTree;
+use dolos_secmem::bmt::{data_mac, BonsaiMerkleTree};
 
 fn main() {
     let mut b = Bench::from_args("crypto");
@@ -57,6 +57,15 @@ fn main() {
         s.part(bb(&line[32..]));
         s.part(bb(&line[..8]));
         s.finish()
+    });
+    // The two multi-part MAC shapes on the Ma-SU write path: the data MAC
+    // (address ‖ counter ‖ 64 B ciphertext = 80 B over 3 parts) and an
+    // 8-ary BMT parent over its children's 8 B MACs.
+    b.run("data_mac_80B", || data_mac(bb(&mac), 0x4000, 17, bb(&line)));
+    let children = [[0x22u8; 8]; 8];
+    b.run("bmt_parent_mac_8x8B", || {
+        let c = bb(&children);
+        mac.tag_parts(&[&c[0], &c[1], &c[2], &c[3], &c[4], &c[5], &c[6], &c[7]])
     });
 
     // Parent-MAC memoization (DESIGN.md §17). A leaf update only marks its

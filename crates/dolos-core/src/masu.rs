@@ -255,11 +255,10 @@ impl MajorSecurityUnit {
         &mut self,
         now: Cycle,
         page: u64,
-        block: &CounterBlock,
+        line: Line,
         nvm: &mut NvmDevice,
         force_writeback: bool,
     ) {
-        let line = block.to_line();
         if !self.counter_cache.update(page, line) {
             // Not resident (shouldn't happen right after a fetch, but keep
             // the invariant): fill as dirty.
@@ -465,7 +464,7 @@ impl MajorSecurityUnit {
             nvm.write_line(done, addr, &ciphertext);
         }
         self.write_data_mac(nvm, addr, mac);
-        self.store_counter_block(done, page, &block, nvm, overflowed);
+        self.store_counter_block(done, page, counter_line, nvm, overflowed);
         if self.trace.is_enabled() {
             // The §4.4 redo-register commit point: security work and NVM
             // effects become atomic here.

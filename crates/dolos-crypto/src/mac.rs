@@ -120,15 +120,13 @@ impl MacEngine {
     /// segment's length folded in, so `(["ab", "c"])` and `(["a", "bc"])`
     /// produce different tags.
     pub fn tag_parts(&self, parts: &[&[u8]]) -> Mac64 {
-        let mut state = self.initial_state(parts.len() as u64);
+        let mut chain = Absorber::new(&self.key, self.initial_state(parts.len() as u64));
         for part in parts {
-            let lw = len_words(part.len() as u64);
-            state[0] ^= lw[0];
-            state[1] ^= lw[1];
-            state = self.key.encrypt_words(state);
-            state = self.key.cbc_words(state, part);
+            chain.length_block(part.len() as u64);
+            chain.bytes(part);
+            chain.pad();
         }
-        truncate_tag(&state)
+        truncate_tag(&chain.finish())
     }
 
     /// Verifies `message` against `expected` in constant shape (full compare).
@@ -149,10 +147,7 @@ impl MacEngine {
     /// first collecting them into a `Vec<&[u8]>` or concatenation buffers.
     pub fn streamer(&self, part_count: usize) -> CbcMac<'_> {
         CbcMac {
-            key: &self.key,
-            state: self.initial_state(part_count as u64),
-            buf: [0u8; BLOCK_SIZE],
-            buf_len: 0,
+            chain: Absorber::new(&self.key, self.initial_state(part_count as u64)),
             in_part: false,
             parts_left: part_count,
             expected: 0,
@@ -177,10 +172,7 @@ impl MacEngine {
     /// two formulations stay interchangeable per call site, never mixed.
     pub fn stream_tag(&self, message_len: u64) -> CbcMac<'_> {
         CbcMac {
-            key: &self.key,
-            state: self.initial_state(message_len),
-            buf: [0u8; BLOCK_SIZE],
-            buf_len: 0,
+            chain: Absorber::new(&self.key, self.initial_state(message_len)),
             in_part: true,
             parts_left: 0,
             expected: message_len,
@@ -189,14 +181,101 @@ impl MacEngine {
     }
 }
 
+/// Bytes [`Absorber`] gathers before each cipher call. A whole data MAC
+/// (3 × 16 length-block bytes + 16 + 16 + 64 padded part bytes = 144) and a
+/// whole 8-child BMT parent (8 × (16 + 16) = 256) each fit, so both chain
+/// through the cipher in a single call.
+const ABSORB_BYTES: usize = 256;
+
+/// A CBC chain that gathers whole blocks in a stack buffer and hands the
+/// buffer to [`Aes128::cbc_words`] in one call when it fills or the tag is
+/// taken.
+///
+/// A part goes in as its length block `[len_le ‖ 0⁸]` followed by its bytes
+/// zero-padded to a block boundary. Chaining that buffer is the same
+/// sequence of `state = E(state ^ block)` steps as absorbing the length
+/// block and then the part with one cipher call each, so tags are
+/// byte-identical; only the number of calls into the cipher drops.
+#[derive(Debug)]
+struct Absorber<'a> {
+    key: &'a Aes128,
+    state: StateWords,
+    buf: [u8; ABSORB_BYTES],
+    /// Filled bytes of `buf`; a block multiple whenever no part is open.
+    len: usize,
+}
+
+impl<'a> Absorber<'a> {
+    #[inline]
+    fn new(key: &'a Aes128, state: StateWords) -> Self {
+        Self {
+            key,
+            state,
+            buf: [0u8; ABSORB_BYTES],
+            len: 0,
+        }
+    }
+
+    /// Appends the length block of an `n`-byte part. Must follow [`Self::pad`]
+    /// (or nothing), so the block starts on a block boundary.
+    #[inline]
+    fn length_block(&mut self, n: u64) {
+        if self.len == ABSORB_BYTES {
+            self.flush();
+        }
+        let block = &mut self.buf[self.len..self.len + BLOCK_SIZE];
+        block[..8].copy_from_slice(&n.to_le_bytes());
+        block[8..].fill(0);
+        self.len += BLOCK_SIZE;
+    }
+
+    /// Appends message bytes, chaining the buffer each time it fills.
+    #[inline]
+    fn bytes(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.len == ABSORB_BYTES {
+                self.flush();
+            }
+            let take = (ABSORB_BYTES - self.len).min(bytes.len());
+            self.buf[self.len..self.len + take].copy_from_slice(&bytes[..take]);
+            self.len += take;
+            bytes = &bytes[take..];
+        }
+    }
+
+    /// Zero-pads the last block, closing a part.
+    #[inline]
+    fn pad(&mut self) {
+        let end = self.len.next_multiple_of(BLOCK_SIZE);
+        self.buf[self.len..end].fill(0);
+        self.len = end;
+    }
+
+    /// Chains the buffered blocks into the state. Callers flush only at a
+    /// block multiple (a full buffer, or after [`Self::pad`]), so
+    /// `cbc_words` never pads a chunk mid-message.
+    #[inline]
+    fn flush(&mut self) {
+        self.state = self.key.cbc_words(self.state, &self.buf[..self.len]);
+        self.len = 0;
+    }
+
+    /// Chains what is left and returns the final state.
+    #[inline]
+    fn finish(mut self) -> StateWords {
+        self.flush();
+        self.state
+    }
+}
+
 /// An incremental CBC-MAC over borrowed byte slices.
 ///
 /// Created by [`MacEngine::streamer`]; produces tags byte-identical to
 /// [`MacEngine::tag_parts`] without requiring the parts to be materialized
 /// contiguously or collected into a slice-of-slices first. Each declared
-/// part may itself be fed as several scattered sub-slices; the internal
-/// 16-byte buffer reproduces `tag_parts`' chunking exactly, so sub-slice
-/// boundaries never affect the tag.
+/// part may itself be fed as several scattered sub-slices; it shares
+/// `tag_parts`' buffered chain, so sub-slice boundaries never affect the
+/// tag.
 ///
 /// # Examples
 ///
@@ -214,10 +293,7 @@ impl MacEngine {
 /// ```
 #[derive(Debug)]
 pub struct CbcMac<'a> {
-    key: &'a Aes128,
-    state: StateWords,
-    buf: [u8; BLOCK_SIZE],
-    buf_len: usize,
+    chain: Absorber<'a>,
     in_part: bool,
     parts_left: usize,
     /// Bytes promised to `begin_part` for the open part.
@@ -244,39 +320,16 @@ impl CbcMac<'_> {
         assert!(self.parts_left > 0, "more parts fed than declared");
         self.parts_left -= 1;
         self.in_part = true;
-        self.buf = [0u8; BLOCK_SIZE];
-        self.buf_len = 0;
         self.expected = part_len;
         self.fed = 0;
-        let lw = len_words(part_len);
-        self.state[0] ^= lw[0];
-        self.state[1] ^= lw[1];
-        self.state = self.key.encrypt_words(self.state);
+        self.chain.length_block(part_len);
     }
 
     /// Feeds part bytes; may be called any number of times per part.
-    pub fn update(&mut self, mut bytes: &[u8]) {
+    pub fn update(&mut self, bytes: &[u8]) {
         assert!(self.in_part, "update called outside a part");
         self.fed += bytes.len() as u64;
-        if self.buf_len > 0 {
-            let take = (BLOCK_SIZE - self.buf_len).min(bytes.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&bytes[..take]);
-            self.buf_len += take;
-            bytes = &bytes[take..];
-            if self.buf_len < BLOCK_SIZE {
-                return;
-            }
-            self.state = self.key.cbc_words(self.state, &self.buf);
-        }
-        // Whole blocks chain straight from the input; a short tail waits in
-        // the buffer for the next update or `end_part`.
-        let whole = bytes.len() - bytes.len() % BLOCK_SIZE;
-        if whole > 0 {
-            self.state = self.key.cbc_words(self.state, &bytes[..whole]);
-        }
-        let tail = &bytes[whole..];
-        self.buf[..tail.len()].copy_from_slice(tail);
-        self.buf_len = tail.len();
+        self.chain.bytes(bytes);
     }
 
     /// Closes the current part, flushing any partial chunk.
@@ -286,10 +339,7 @@ impl CbcMac<'_> {
             self.fed, self.expected,
             "part length declared to begin_part does not match bytes fed"
         );
-        if self.buf_len > 0 {
-            self.state = self.key.cbc_words(self.state, &self.buf[..self.buf_len]);
-            self.buf_len = 0;
-        }
+        self.chain.pad();
         self.in_part = false;
         self.fed = 0;
         self.expected = 0;
@@ -299,7 +349,7 @@ impl CbcMac<'_> {
     pub fn finish(self) -> Mac64 {
         assert!(!self.in_part, "finish called inside an open part");
         assert_eq!(self.parts_left, 0, "fewer parts fed than declared");
-        truncate_tag(&self.state)
+        truncate_tag(&self.chain.finish())
     }
 }
 

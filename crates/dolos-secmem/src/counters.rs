@@ -135,42 +135,44 @@ impl CounterBlock {
 
     /// Serializes to the 64-byte NVM representation
     /// (8-byte major ‖ 56 bytes holding 64 7-bit minors).
+    ///
+    /// Minor `i` occupies bits `7i..7i + 7` of the 448-bit little-endian
+    /// minor field, so every 8 minors fill exactly one 56-bit group: group
+    /// `g` is minors `8g..8g + 8` (minor `8g + j` at bit `7j`), stored as
+    /// the 7 low bytes of a little-endian `u64` at byte `8 + 7g`. Packing
+    /// a whole group per word writes the same bits as packing minor by
+    /// minor.
     pub fn to_line(&self) -> Line {
         let mut out = [0u8; 64];
         out[0..8].copy_from_slice(&self.major.to_le_bytes());
-        // Pack 64 x 7-bit minors into 56 bytes.
-        let mut bit = 0usize;
-        for &m in &self.minors {
-            let byte = bit / 8;
-            let off = bit % 8;
-            let v = u16::from(m & MINOR_MAX) << off;
-            out[8 + byte] |= (v & 0xFF) as u8;
-            if off > 1 {
-                out[8 + byte + 1] |= (v >> 8) as u8;
-            }
-            bit += 7;
+        for (group, dst) in self
+            .minors
+            .chunks_exact(8)
+            .zip(out[8..].chunks_exact_mut(7))
+        {
+            let word = group
+                .iter()
+                .rev()
+                .fold(0u64, |w, &m| (w << 7) | u64::from(m & MINOR_MAX));
+            dst.copy_from_slice(&word.to_le_bytes()[..7]);
         }
         out
     }
 
-    /// Deserializes from the 64-byte NVM representation.
+    /// Deserializes from the 64-byte NVM representation (the inverse of
+    /// [`Self::to_line`]; every bit of the minor field belongs to a minor).
     pub fn from_line(line: &Line) -> Self {
         let mut major_bytes = [0u8; 8];
         major_bytes.copy_from_slice(&line[0..8]);
         let major = u64::from_le_bytes(major_bytes);
         let mut minors = [0u8; MINORS_PER_BLOCK];
-        let mut bit = 0usize;
-        for m in &mut minors {
-            let byte = bit / 8;
-            let off = bit % 8;
-            let lo = u16::from(line[8 + byte]) >> off;
-            let hi = if off > 1 && 8 + byte + 1 < 64 {
-                u16::from(line[8 + byte + 1]) << (8 - off)
-            } else {
-                0
-            };
-            *m = ((lo | hi) & u16::from(MINOR_MAX)) as u8;
-            bit += 7;
+        for (group, src) in minors.chunks_exact_mut(8).zip(line[8..].chunks_exact(7)) {
+            let mut bytes = [0u8; 8];
+            bytes[..7].copy_from_slice(src);
+            let word = u64::from_le_bytes(bytes);
+            for (j, m) in group.iter_mut().enumerate() {
+                *m = (word >> (7 * j)) as u8 & MINOR_MAX;
+            }
         }
         Self { major, minors }
     }

@@ -222,14 +222,19 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let (tag, rest) = line.split_at(1);
-            let rest = rest.trim();
+            // Split at the first char, not byte: outside input may open a
+            // line with a multi-byte character.
+            let mut chars = line.chars();
+            let tag = chars.next();
+            let rest = chars.as_str().trim();
             let op = match tag {
-                "W" => TraceOp::Work(rest.parse().map_err(|_| err("bad work count"))?),
-                "D" => TraceOp::Delay(rest.parse().map_err(|_| err("bad delay"))?),
-                "B" => TraceOp::Writeback(rest.parse().map_err(|_| err("bad writeback address"))?),
-                "R" => TraceOp::Read(rest.parse().map_err(|_| err("bad read address"))?),
-                "P" => {
+                Some('W') => TraceOp::Work(rest.parse().map_err(|_| err("bad work count"))?),
+                Some('D') => TraceOp::Delay(rest.parse().map_err(|_| err("bad delay"))?),
+                Some('B') => {
+                    TraceOp::Writeback(rest.parse().map_err(|_| err("bad writeback address"))?)
+                }
+                Some('R') => TraceOp::Read(rest.parse().map_err(|_| err("bad read address"))?),
+                Some('P') => {
                     let mut addrs = Vec::new();
                     for part in rest.split(',') {
                         addrs.push(
@@ -305,6 +310,52 @@ mod tests {
         assert!(Trace::parse("DOLOS-TRACE v1 region=abc").is_err());
         assert!(Trace::parse("DOLOS-TRACE v1 region=64\nX 5").is_err());
         assert!(Trace::parse("DOLOS-TRACE v1 region=64\nP 1,zz").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_multi_byte_op_tag() {
+        let err = Trace::parse("DOLOS-TRACE v1 region=4096\né 5\n").unwrap_err();
+        assert_eq!((err.line, err.reason), (2, "unknown op tag"));
+    }
+
+    /// Seeded mutants of a recorded trace's text (truncations at char
+    /// boundaries, single-char flips including multi-byte chars, token
+    /// splices) must parse to `Ok` or `Err`, never panic; whatever parses
+    /// must survive a serialize/parse round trip.
+    #[test]
+    fn parse_never_panics_on_mutated_traces() {
+        const FLIPS: [char; 14] = [
+            'é', '€', '😀', '\u{0}', 'W', 'P', 'R', ',', '#', '\n', ' ', '0', '9', '-',
+        ];
+        let (trace, _) = record_hashmap();
+        let text = trace.serialize();
+        let boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+        let tokens: Vec<&str> = text.split_inclusive([' ', ',', '\n']).collect();
+        let mut rng = XorShift::new(0x7ACE);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        for round in 0..3000 {
+            let mutant = match round % 3 {
+                0 => text[..boundaries[pick(boundaries.len())]].to_string(),
+                1 => {
+                    let at = boundaries[pick(boundaries.len())];
+                    let old = text[at..].chars().next().map_or(0, char::len_utf8);
+                    let flip = FLIPS[pick(FLIPS.len())];
+                    format!("{}{flip}{}", &text[..at], &text[at + old..])
+                }
+                _ => {
+                    let mut spliced = tokens.clone();
+                    let token = tokens[pick(tokens.len())];
+                    spliced.insert(pick(tokens.len() + 1), token);
+                    spliced.remove(pick(spliced.len()));
+                    spliced.concat()
+                }
+            };
+            let parsed = std::panic::catch_unwind(|| Trace::parse(&mutant))
+                .unwrap_or_else(|_| panic!("parse panicked on mutant {round}: {mutant:?}"));
+            if let Ok(t) = parsed {
+                assert_eq!(Trace::parse(&t.serialize()), Ok(t), "mutant {round}");
+            }
+        }
     }
 
     #[test]
