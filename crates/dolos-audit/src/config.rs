@@ -194,12 +194,13 @@ impl Config {
             // per-crate at the exact current counts in PR 8 (still summing
             // to 43) so growth in one crate can no longer hide behind
             // cleanup in another. Unlisted crates have budget 0. Only
-            // lower these.
+            // lower these. dolos-whisper went 15 -> 14 when
+            // `PmEnv::read_u64` stopped converting a `Vec` with `expect`.
             panic_budgets: vec![
                 ("dolos-core".to_string(), 20),
                 ("dolos-nvm".to_string(), 3),
                 ("dolos-secmem".to_string(), 2),
-                ("dolos-whisper".to_string(), 15),
+                ("dolos-whisper".to_string(), 14),
                 ("dolos-bench".to_string(), 3),
             ],
             crate_deps: BTreeMap::new(),

@@ -1,9 +1,11 @@
 //! Benchmarks of the secure memory controller: simulation throughput of the
-//! persist path under each architecture, plus crash/recovery.
+//! persist path under each architecture, crash/recovery, and the NVM
+//! device's line store underneath.
 
 use dolos_bench::microbench::{bb, Bench};
 
 use dolos_core::{ControllerConfig, MiSuKind, SecureMemorySystem};
+use dolos_nvm::{LineAddr, NvmDevice};
 use dolos_sim::Cycle;
 
 fn persist_throughput(b: &mut Bench, name: &str, config: ControllerConfig) {
@@ -45,6 +47,22 @@ fn main() {
     }
     let quiet = sys.quiesce(t);
     b.run("read_after_drain", || sys.read(quiet, bb(0x40)));
+
+    // The device store: 4096 resident lines over 64 pages, visited with a
+    // stride that changes page on every call.
+    let mut nvm = NvmDevice::new();
+    for i in 0..4096 {
+        nvm.poke(LineAddr::from_index(i), &[i as u8; 64]);
+    }
+    let mut i = 0u64;
+    b.run("nvm_write_line", || {
+        i = (i + 97) % 4096;
+        nvm.write_line(Cycle::ZERO, LineAddr::from_index(i), bb(&[7; 64]))
+    });
+    b.run("nvm_peek", || {
+        i = (i + 97) % 4096;
+        nvm.peek(LineAddr::from_index(bb(i)))
+    });
 
     b.run("crash_and_recover_partial", || {
         let mut sys = SecureMemorySystem::new(ControllerConfig::dolos(MiSuKind::Partial));

@@ -53,6 +53,19 @@ fn main() {
         });
     }
 
+    // The CPU-side image: one u64 store and load per call on a resident
+    // 512-line working set, behind the ideal controller.
+    {
+        let mut env = PmEnv::new(ControllerConfig::ideal());
+        let base = env.alloc(512 * 64);
+        let mut i = 0u64;
+        b.run("pmenv_write_read_u64", || {
+            i = (i + 1) % 512;
+            env.write_u64(base + i * 64 + 8, i);
+            env.read_u64(base + i * 64 + 8)
+        });
+    }
+
     // Record a small trace once; measure replay throughput.
     let mut config = ControllerConfig::dolos(MiSuKind::Partial);
     config.region_bytes = 64 << 20;

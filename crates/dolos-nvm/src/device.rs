@@ -9,8 +9,7 @@
 //! serialize on their own port; this deliberately simple channel model is the
 //! same abstraction level the paper's table implies.
 
-use std::collections::BTreeMap;
-
+use dolos_sim::flat::LineTable;
 use dolos_sim::resource::Pipeline;
 use dolos_sim::stats::StatSet;
 use dolos_sim::trace::{EventKind, TraceEvent, TraceMode, TraceSink};
@@ -34,6 +33,22 @@ pub const READ_ISSUE_INTERVAL: u64 = 50;
 /// [`WRITE_LATENCY`].
 pub const WRITE_ISSUE_INTERVAL: u64 = 100;
 
+/// One stored line and its wear: the write count sits next to the data so a
+/// timed write is one table lookup.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    data: Line,
+    /// Timed (wear-inducing) writes this line has endured.
+    writes: u64,
+}
+
+impl Stored {
+    const BLANK: Stored = Stored {
+        data: [0; LINE_SIZE],
+        writes: 0,
+    };
+}
+
 /// The non-volatile memory device: a sparse line store plus timing ports.
 ///
 /// The contents survive [`NvmDevice::power_cycle`], which models a crash /
@@ -44,15 +59,14 @@ pub const WRITE_ISSUE_INTERVAL: u64 = 100;
 pub struct NvmDevice {
     /// Line store, ordered by address: range scans (recovery's counter-region
     /// enumeration) come out sorted for free, and nothing downstream can
-    /// observe hasher-dependent order.
-    lines: BTreeMap<u64, Line>,
+    /// observe hasher-dependent order. Each entry also carries the line's
+    /// program-cycle count — the endurance profile (PCM cells wear out after
+    /// ~1e8 writes; secure-NVM designs care about write amplification).
+    lines: LineTable<Stored>,
     read_port: Pipeline,
     write_port: Pipeline,
     reads: u64,
     writes: u64,
-    /// Program cycles per line — the endurance profile (PCM cells wear out
-    /// after ~1e8 writes; secure-NVM designs care about write amplification).
-    write_counts: BTreeMap<u64, u64>,
     /// Event sink for cycle-stamped read/write service spans.
     trace: TraceSink,
 }
@@ -60,12 +74,11 @@ pub struct NvmDevice {
 impl Default for NvmDevice {
     fn default() -> Self {
         Self {
-            lines: BTreeMap::new(),
+            lines: LineTable::new(),
             read_port: Pipeline::new(READ_ISSUE_INTERVAL, READ_LATENCY),
             write_port: Pipeline::new(WRITE_ISSUE_INTERVAL, WRITE_LATENCY),
             reads: 0,
             writes: 0,
-            write_counts: BTreeMap::new(),
             trace: TraceSink::Null,
         }
     }
@@ -109,8 +122,9 @@ impl NvmDevice {
     /// port picks it up; the cells finish programming at *completed*.
     pub fn write_line_ticket(&mut self, now: Cycle, addr: LineAddr, data: &Line) -> (Cycle, Cycle) {
         self.writes += 1;
-        *self.write_counts.entry(addr.as_u64()).or_insert(0) += 1;
-        self.lines.insert(addr.as_u64(), *data);
+        let stored = self.line_mut(addr);
+        stored.data = *data;
+        stored.writes += 1;
         let completed = self.write_port.acquire(now);
         let accepted = Cycle::new(completed.as_u64() - (WRITE_LATENCY - WRITE_ISSUE_INTERVAL));
         if self.trace.is_enabled() {
@@ -131,9 +145,8 @@ impl NvmDevice {
     /// [`NvmDevice::read_line`].
     pub fn peek(&self, addr: LineAddr) -> Line {
         self.lines
-            .get(&addr.as_u64())
-            .copied()
-            .unwrap_or([0; LINE_SIZE])
+            .get(addr.as_u64())
+            .map_or([0; LINE_SIZE], |s| s.data)
     }
 
     /// Writes a line's contents without consuming device time.
@@ -141,16 +154,23 @@ impl NvmDevice {
     /// Used by the ADR drain path, whose energy budget is accounted
     /// separately from run-time device ports, and by test setup.
     pub fn poke(&mut self, addr: LineAddr, data: &Line) {
-        self.lines.insert(addr.as_u64(), *data);
+        self.line_mut(addr).data = *data;
+    }
+
+    /// The stored entry for `addr`, created blank (zero data, no wear) on
+    /// first touch.
+    fn line_mut(&mut self, addr: LineAddr) -> &mut Stored {
+        self.lines
+            .get_mut_or_insert_with(addr.as_u64(), || Stored::BLANK)
     }
 
     /// Applies an attacker mutation to a line (spoofing/relocation attacks).
     ///
     /// Returns the previous contents.
     pub fn tamper(&mut self, addr: LineAddr, f: impl FnOnce(&mut Line)) -> Line {
-        let entry = self.lines.entry(addr.as_u64()).or_insert([0; LINE_SIZE]);
-        let before = *entry;
-        f(entry);
+        let line = &mut self.line_mut(addr).data;
+        let before = *line;
+        f(line);
         before
     }
 
@@ -172,7 +192,7 @@ impl NvmDevice {
 
     /// Replays previously captured contents into a line (replay attack).
     pub fn replay_snapshot(&mut self, addr: LineAddr, old: &Line) {
-        self.lines.insert(addr.as_u64(), *old);
+        self.line_mut(addr).data = *old;
     }
 
     /// Captures every resident line in `[start, end)`, sorted by address.
@@ -191,7 +211,7 @@ impl NvmDevice {
     /// write burst: some lines carry the new epoch, the rest the old one.
     pub fn restore_lines(&mut self, lines: &[(LineAddr, Line)]) {
         for (addr, data) in lines {
-            self.lines.insert(addr.as_u64(), *data);
+            self.line_mut(*addr).data = *data;
         }
     }
 
@@ -213,17 +233,20 @@ impl NvmDevice {
 
     /// Timed writes a given line has endured.
     pub fn line_write_count(&self, addr: LineAddr) -> u64 {
-        self.write_counts.get(&addr.as_u64()).copied().unwrap_or(0)
+        self.lines.get(addr.as_u64()).map_or(0, |s| s.writes)
     }
 
     /// The endurance hot spot: the most-written line and its write count.
     /// Ties resolve to the lowest address (ordered iteration), so the answer
-    /// is a pure function of the write history.
+    /// is a pure function of the write history. `None` until the first timed
+    /// write: lines only ever poked carry no wear.
     pub fn max_line_writes(&self) -> Option<(LineAddr, u64)> {
-        self.write_counts
+        self.lines
             .iter()
+            .map(|(a, s)| (a, s.writes))
+            .filter(|&(_, c)| c > 0)
             .max_by(|(a1, c1), (a2, c2)| c1.cmp(c2).then(a2.cmp(a1)))
-            .map(|(&a, &c)| (LineAddr::containing(a), c))
+            .map(|(a, c)| (LineAddr::containing(a), c))
     }
 
     /// Number of distinct lines ever written.
@@ -237,8 +260,8 @@ impl NvmDevice {
     /// range scan instead of a filter-and-sort over every resident line.
     pub fn resident_lines_in(&self, start: u64, end: u64) -> Vec<LineAddr> {
         self.lines
-            .range(start..end)
-            .map(|(&a, _)| LineAddr::containing(a))
+            .range(start, end)
+            .map(|(a, _)| LineAddr::containing(a))
             .collect()
     }
 
@@ -386,6 +409,19 @@ mod tests {
         // program operations in this model.
         nvm.poke(addr(0), &[2; 64]);
         assert_eq!(nvm.line_write_count(addr(0)), 3);
+    }
+
+    #[test]
+    fn hot_spot_needs_a_timed_write_and_prefers_the_lowest_address() {
+        let mut nvm = NvmDevice::new();
+        nvm.poke(addr(0), &[1; 64]);
+        nvm.tamper(addr(64), |line| line[0] = 1);
+        assert_eq!(nvm.max_line_writes(), None, "untimed stores carry no wear");
+        for a in [256, 128, 128, 256] {
+            nvm.write_line(Cycle::ZERO, addr(a), &[1; 64]);
+        }
+        assert_eq!(nvm.max_line_writes(), Some((addr(128), 2)));
+        assert_eq!(nvm.resident_lines(), 4);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   output must not depend on thread count;
 //! * [`queue`] — the atomic index queue the pool steals schedule positions
 //!   from;
-//! * [`flat`] — a sorted flat map used for per-line metadata tables whose
-//!   iteration order must be reproducible;
+//! * [`flat`] — a sorted flat map for per-line metadata tables and a paged
+//!   line table for line-addressed stores, both iterating in key order;
 //! * [`table`] — plain-text table rendering shared by every report surface;
 //! * [`trace`] — cycle-stamped event/span vocabulary the timing-bearing
 //!   crates emit into and the `dolos-trace` analysis crate consumes.

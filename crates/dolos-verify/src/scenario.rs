@@ -320,9 +320,16 @@ impl FromStr for Scenario {
         // Optional bank token between the keyspace and the round list; its
         // absence means the single-bank model.
         let (keys, banks) = match head.split_once(";banks=") {
-            Some((keys, banks)) => (keys, parse_num(banks, "banks")?),
+            Some((keys, banks)) => (keys, parse_num::<usize>(banks, "banks")?),
             None => (head, 1),
         };
+        // The bank model interleaves lines by the low address bits, so only
+        // a power-of-two count can run.
+        if !banks.is_power_of_two() {
+            return Err(ParseScenarioError::new(format!(
+                "banks must be a power of two: {banks}"
+            )));
+        }
         let rounds = rounds
             .strip_suffix(']')
             .ok_or_else(|| ParseScenarioError::new("unterminated round list"))?;
@@ -579,8 +586,83 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_bank_tokens() {
         assert!("seed=1;keys=8;banks=x;[t4]".parse::<Scenario>().is_err());
+        // Counts the bank model cannot run are parse errors, not engine
+        // panics.
+        for bad in [0, 3, 5, 6, 12, 100] {
+            let text = format!("seed=1;keys=8;banks={bad};[t4]");
+            assert!(text.parse::<Scenario>().is_err(), "{text}");
+        }
+        for good in [1, 2, 4, 64] {
+            let text = format!("seed=1;keys=8;banks={good};[t4]");
+            assert_eq!(text.parse::<Scenario>().map(|s| s.banks), Ok(good));
+        }
         assert!("seed=1;keys=8;[t4+tornb(1)]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[t4+tornb(a,1)]".parse::<Scenario>().is_err());
+    }
+
+    /// Seeded mutants of rendered scenarios (truncations at char
+    /// boundaries, single-char flips including multi-byte chars, token
+    /// splices) must parse to `Ok` or `Err`, never panic. Whatever parses
+    /// must round-trip through `Display` and carry a bank count the engine
+    /// can run.
+    #[test]
+    fn parse_never_panics_on_mutated_scenarios() {
+        const FLIPS: [char; 16] = [
+            'é', '€', '😀', '\u{0}', ';', '+', '#', '@', '(', ')', ',', '[', ']', '0', '3', '9',
+        ];
+        let texts: Vec<String> = (0..12)
+            .map(|seed| {
+                let config = ScenarioConfig {
+                    rounds: 4,
+                    banks: if seed % 2 == 0 { 4 } else { 1 },
+                    ..ScenarioConfig::default()
+                };
+                Scenario::generate(seed, &config).to_string()
+            })
+            .collect();
+        let mut rng = XorShift::new(0x5CE7);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let mut parsed_ok = 0;
+        for round in 0..6000 {
+            let text = &texts[round % texts.len()];
+            let boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+            let mutant = match round % 3 {
+                0 => text[..boundaries[pick(boundaries.len())]].to_string(),
+                1 => {
+                    let at = boundaries[pick(boundaries.len())];
+                    let old = text[at..].chars().next().map_or(0, char::len_utf8);
+                    let flip = FLIPS[pick(FLIPS.len())];
+                    format!("{}{flip}{}", &text[..at], &text[at + old..])
+                }
+                _ => {
+                    // Splice a token of another scenario into this one.
+                    let tokens: Vec<&str> = text.split_inclusive([';', '+', '[']).collect();
+                    let donor = &texts[pick(texts.len())];
+                    let donor: Vec<&str> = donor.split_inclusive([';', '+', '[']).collect();
+                    let mut spliced = tokens.clone();
+                    spliced.insert(pick(tokens.len() + 1), donor[pick(donor.len())]);
+                    spliced.remove(pick(spliced.len()));
+                    spliced.concat()
+                }
+            };
+            let parsed = std::panic::catch_unwind(|| mutant.parse::<Scenario>())
+                .unwrap_or_else(|_| panic!("parse panicked on mutant {round}: {mutant:?}"));
+            if let Ok(scenario) = parsed {
+                parsed_ok += 1;
+                assert!(
+                    scenario.banks.is_power_of_two(),
+                    "mutant {round}: {mutant:?}"
+                );
+                assert_eq!(
+                    scenario.to_string().parse::<Scenario>(),
+                    Ok(scenario),
+                    "mutant {round}: {mutant:?}"
+                );
+            }
+        }
+        // The mutants must reach the accepting paths too, or the round-trip
+        // obligation is vacuous.
+        assert!(parsed_ok > 300, "only {parsed_ok} mutants parsed");
     }
 
     #[test]

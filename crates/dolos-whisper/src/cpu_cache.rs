@@ -3,8 +3,8 @@
 //! Three levels — L1 32 KiB 2-way (2 cycles), L2 512 KiB 8-way (20 cycles),
 //! LLC 8 MiB 16-way (32 cycles) — tracked at cacheline granularity for
 //! *timing and eviction behaviour*; the data bytes themselves live in the
-//! environment's line image. Two event kinds leave the hierarchy toward the
-//! memory controller:
+//! environment's line image, so the levels store tags only (a `()` payload).
+//! Two event kinds leave the hierarchy toward the memory controller:
 //!
 //! * explicit `clwb` flushes (the workload's persists), and
 //! * **dirty LLC evictions** — Figure 7's "flushed cachelines and evictions
@@ -64,9 +64,9 @@ pub struct CacheAccess {
 /// ```
 #[derive(Debug)]
 pub struct CpuCacheHierarchy {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    llc: SetAssocCache,
+    l1: SetAssocCache<()>,
+    l2: SetAssocCache<()>,
+    llc: SetAssocCache<()>,
     hits: [u64; 3],
     memory_misses: u64,
     writebacks: u64,
@@ -97,17 +97,19 @@ impl CpuCacheHierarchy {
     /// The hierarchy is inclusive: a fill installs the line in all levels;
     /// an eviction from an inner level writes through to the next level
     /// (dirtiness propagates down, leaving the LLC as the last holder).
+    ///
+    /// The lookup does not refresh LRU state: every level it inspects is
+    /// filled with `line` below, and that fill stamps the line as most
+    /// recently used before the level's next replacement decision.
     pub fn access(&mut self, line: u64, write: bool) -> CacheAccess {
-        use dolos_secmem::cache::Access;
-        let zero = [0u8; 64];
         let mut writebacks = Vec::new();
-        let (latency, memory_miss) = if self.l1.probe(line) == Access::Hit {
+        let (latency, memory_miss) = if self.l1.contains(line) {
             self.hits[0] += 1;
             (L1_LATENCY, false)
-        } else if self.l2.probe(line) == Access::Hit {
+        } else if self.l2.contains(line) {
             self.hits[1] += 1;
             (L1_LATENCY + L2_LATENCY, false)
-        } else if self.llc.probe(line) == Access::Hit {
+        } else if self.llc.contains(line) {
             self.hits[2] += 1;
             (L1_LATENCY + L2_LATENCY + LLC_LATENCY, false)
         } else {
@@ -118,25 +120,25 @@ impl CpuCacheHierarchy {
         // outermost first so inner victims can land one level out. A dirty
         // victim leaving a level is installed dirty in the next level; a
         // dirty LLC victim becomes a memory write-back.
-        if let Some(ev) = self.llc.fill(line, zero, false) {
+        if let Some(ev) = self.llc.fill(line, (), false) {
             if ev.dirty {
                 writebacks.push(ev.key);
             }
         }
-        if let Some(ev) = self.l2.fill(line, zero, false) {
+        if let Some(ev) = self.l2.fill(line, (), false) {
             if ev.dirty {
-                if let Some(ev3) = self.llc.fill(ev.key, zero, true) {
+                if let Some(ev3) = self.llc.fill(ev.key, (), true) {
                     if ev3.dirty {
                         writebacks.push(ev3.key);
                     }
                 }
             }
         }
-        if let Some(ev) = self.l1.fill(line, zero, write) {
+        if let Some(ev) = self.l1.fill(line, (), write) {
             if ev.dirty {
-                if let Some(ev2) = self.l2.fill(ev.key, zero, true) {
+                if let Some(ev2) = self.l2.fill(ev.key, (), true) {
                     if ev2.dirty {
-                        if let Some(ev3) = self.llc.fill(ev2.key, zero, true) {
+                        if let Some(ev3) = self.llc.fill(ev2.key, (), true) {
                             if ev3.dirty {
                                 writebacks.push(ev3.key);
                             }
@@ -157,12 +159,11 @@ impl CpuCacheHierarchy {
     /// whether any level held it dirty — i.e., whether a write-back is due.
     pub fn clean(&mut self, line: u64) -> bool {
         let mut was_dirty = false;
-        let zero = [0u8; 64];
         for cache in [&mut self.l1, &mut self.l2, &mut self.llc] {
             if let Some(ev) = cache.invalidate(line) {
                 was_dirty |= ev.dirty;
                 // Re-install clean (clwb retains the cached copy).
-                cache.fill(line, zero, false);
+                cache.fill(line, (), false);
             }
         }
         was_dirty

@@ -12,10 +12,8 @@
 //! the persistence domain. A crash loses the cache image and everything not
 //! yet fenced.
 
-use std::collections::BTreeMap;
-
 use dolos_core::{RecoveryReport, SecureMemorySystem, SecurityError};
-use dolos_sim::flat::FlatSet;
+use dolos_sim::flat::LineTable;
 use dolos_sim::Cycle;
 
 use crate::cpu_cache::CpuCacheHierarchy;
@@ -26,6 +24,14 @@ use crate::trace::{Trace, TraceOp};
 /// WPQ inter-arrival time lands in the few-hundred-cycle range the paper
 /// reports (473 cycles on average across WHISPER).
 pub const OP_COST: u64 = 12;
+
+/// One line of the CPU-side image.
+#[derive(Debug, Clone, Copy)]
+struct CachedLine {
+    data: [u8; 64],
+    /// Modified since its last write-back.
+    dirty: bool,
+}
 
 /// The persistent-memory environment.
 ///
@@ -49,11 +55,10 @@ pub struct PmEnv {
     instructions: u64,
     heap_next: u64,
     heap_end: u64,
-    /// Volatile CPU-cache view of the region, keyed by line address.
-    /// Ordered: nothing in the environment may iterate in hasher order.
-    image: BTreeMap<u64, [u8; 64]>,
-    /// Lines modified since their last write-back.
-    dirty: FlatSet,
+    /// Volatile CPU-cache view of the region, keyed by line address, with
+    /// each line's dirty flag. Ordered: nothing in the environment may
+    /// iterate in hasher order.
+    image: LineTable<CachedLine>,
     /// Lines queued by `clwb`, persisted at the next `sfence`.
     flush_queue: Vec<u64>,
     fences: u64,
@@ -74,8 +79,7 @@ impl PmEnv {
             instructions: 0,
             heap_next: 64, // keep null (0) unallocated
             heap_end,
-            image: BTreeMap::new(),
-            dirty: FlatSet::new(),
+            image: LineTable::new(),
             flush_queue: Vec::new(),
             fences: 0,
             flushes: 0,
@@ -177,11 +181,11 @@ impl PmEnv {
     /// the CPU drops its copy.
     fn handle_writebacks(&mut self, evicted: Vec<u64>) {
         for line in evicted {
-            let Some(data) = self.image.remove(&line) else {
+            let Some(cached) = self.image.remove(line) else {
                 continue;
             };
-            if self.dirty.remove(line) {
-                let _ = self.system.persist_write(self.now, line, &data);
+            if cached.dirty {
+                let _ = self.system.persist_write(self.now, line, &cached.data);
                 if let Some(trace) = self.recorder.as_mut() {
                     trace.push(TraceOp::Writeback(line));
                 }
@@ -192,25 +196,24 @@ impl PmEnv {
     }
 
     /// Accesses `line` through the cache hierarchy, loading it from memory
-    /// if no level (and no CPU-side copy) holds it.
-    fn touch_line(&mut self, line: u64, write: bool) -> [u8; 64] {
+    /// if no level (and no CPU-side copy) holds it. Returns the CPU-side
+    /// copy.
+    fn touch_line(&mut self, line: u64, write: bool) -> &mut CachedLine {
         let access = self.caches.access(line, write);
         self.now += access.latency;
         if let Some(trace) = self.recorder.as_mut() {
             trace.push(TraceOp::Delay(access.latency));
         }
         self.handle_writebacks(access.writebacks);
-        if let Some(data) = self.image.get(&line) {
-            return *data;
-        }
-        // Memory read through the secure controller (timed + verified).
-        let (done, data) = self.system.read(self.now, line);
-        self.now = done;
-        self.image.insert(line, data);
-        if let Some(trace) = self.recorder.as_mut() {
-            trace.push(TraceOp::Read(line));
-        }
-        data
+        self.image.get_mut_or_insert_with(line, || {
+            // Memory read through the secure controller (timed + verified).
+            let (done, data) = self.system.read(self.now, line);
+            self.now = done;
+            if let Some(trace) = self.recorder.as_mut() {
+                trace.push(TraceOp::Read(line));
+            }
+            CachedLine { data, dirty: false }
+        })
     }
 
     /// Writes bytes at `addr` (volatile until flushed).
@@ -222,28 +225,32 @@ impl PmEnv {
             let line = Self::line_of(cur);
             let in_line = (cur - line) as usize;
             let take = (64 - in_line).min(bytes.len() - offset);
-            let mut data = self.touch_line(line, true);
-            data[in_line..in_line + take].copy_from_slice(&bytes[offset..offset + take]);
-            self.image.insert(line, data);
-            self.dirty.insert(line);
+            let cached = self.touch_line(line, true);
+            cached.data[in_line..in_line + take].copy_from_slice(&bytes[offset..offset + take]);
+            cached.dirty = true;
+            offset += take;
+        }
+    }
+
+    /// Reads `out.len()` bytes at `addr` into `out`.
+    fn read_into(&mut self, addr: u64, out: &mut [u8]) {
+        self.work(1 + out.len() as u64 / 8);
+        let mut offset = 0usize;
+        while offset < out.len() {
+            let cur = addr + offset as u64;
+            let line = Self::line_of(cur);
+            let in_line = (cur - line) as usize;
+            let take = (64 - in_line).min(out.len() - offset);
+            let cached = self.touch_line(line, false);
+            out[offset..offset + take].copy_from_slice(&cached.data[in_line..in_line + take]);
             offset += take;
         }
     }
 
     /// Reads bytes at `addr`.
     pub fn read_bytes(&mut self, addr: u64, len: usize) -> Vec<u8> {
-        self.work(1 + len as u64 / 8);
-        let mut out = Vec::with_capacity(len);
-        let mut offset = 0usize;
-        while offset < len {
-            let cur = addr + offset as u64;
-            let line = Self::line_of(cur);
-            let in_line = (cur - line) as usize;
-            let take = (64 - in_line).min(len - offset);
-            let data = self.touch_line(line, false);
-            out.extend_from_slice(&data[in_line..in_line + take]);
-            offset += take;
-        }
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
         out
     }
 
@@ -254,8 +261,9 @@ impl PmEnv {
 
     /// Reads a u64 at `addr`.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let bytes = self.read_bytes(addr, 8);
-        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+        let mut bytes = [0; 8];
+        self.read_into(addr, &mut bytes);
+        u64::from_le_bytes(bytes)
     }
 
     /// Queues every line overlapping `[addr, addr + len)` for write-back.
@@ -264,7 +272,8 @@ impl PmEnv {
         let last = Self::line_of(addr + len.max(1) - 1);
         let mut line = first;
         loop {
-            if self.dirty.contains(line) && !self.flush_queue.contains(&line) {
+            let dirty = self.image.get(line).is_some_and(|c| c.dirty);
+            if dirty && !self.flush_queue.contains(&line) {
                 self.flush_queue.push(line);
                 self.flushes += 1;
                 self.work(1);
@@ -291,10 +300,11 @@ impl PmEnv {
             trace.push(TraceOp::PersistBatch(queue.clone()));
         }
         for line in queue {
-            let data = *self.image.get(&line).expect("flushed lines are cached");
+            let cached = self.image.get_mut(line).expect("flushed lines are cached");
+            cached.dirty = false;
+            let data = cached.data;
             let done = self.system.persist_write(start, line, &data);
             fence_done = fence_done.max(done);
-            self.dirty.remove(line);
             self.caches.clean(line);
         }
         self.now = fence_done;
@@ -310,7 +320,6 @@ impl PmEnv {
     /// lost; the ADR dump runs.
     pub fn crash(&mut self) {
         self.image.clear();
-        self.dirty.clear();
         self.flush_queue.clear();
         self.caches.lose_all();
         let now = self.now;

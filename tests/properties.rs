@@ -1,7 +1,8 @@
 //! Randomized property tests over the core invariants: crypto round-trips,
 //! counter-block serialization (and its lockstep with the bit-serial
 //! original), multi-part MACs against the per-part reference chain,
-//! WPQ-vs-model equivalence, and randomized crash-point durability.
+//! WPQ-vs-model equivalence, randomized crash-point durability, and the
+//! paged line store and tag-only CPU caches against their references.
 //!
 //! Driven by the workspace's own deterministic [`XorShift`] generator (fixed
 //! seeds, no external crates) so every failure reproduces bit-for-bit.
@@ -523,4 +524,256 @@ fn trace_replay_is_cycle_exact() {
         let replayed = trace.replay(ControllerConfig::dolos(MiSuKind::Partial));
         assert_eq!(replayed.cycles, live);
     }
+}
+
+/// `LineTable` against `BTreeMap` under seeded get/insert/remove/range/iter
+/// sequences. Keys cluster around page boundaries (4 KiB) and the top of the
+/// address space, so pages are created, emptied and refilled, and range
+/// bounds fall on, inside and across pages.
+#[test]
+fn line_table_matches_btree_map() {
+    use dolos::sim::flat::LineTable;
+    use std::collections::BTreeMap;
+
+    const TOP: u64 = !63; // the highest line address
+                          // Each base spans 160 lines (2.5 pages) of keys.
+    const BASES: [u64; 4] = [0, 0x1000 - 64 * 40, 0x7FFF_F000, TOP - 64 * 159];
+    let key = |rng: &mut XorShift| {
+        BASES[rng.next_below(BASES.len() as u64) as usize] + 64 * rng.next_below(160)
+    };
+    // Range bounds: near a key (possibly unaligned), or an extreme.
+    let bound = |rng: &mut XorShift| match rng.next_below(8) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => key(rng).wrapping_add(rng.next_below(129)).wrapping_sub(64),
+    };
+    for seed in [1u64, 0x11_7AB1E, 0xFEED, u64::MAX - 9] {
+        let mut rng = XorShift::new(seed);
+        let mut table: LineTable<u64> = LineTable::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for step in 0..6000 {
+            let k = key(&mut rng);
+            let ctx = format!("seed {seed:#x} step {step} key {k:#x}");
+            match rng.next_below(10) {
+                0..=2 => {
+                    let v = rng.next_u64();
+                    assert_eq!(table.insert(k, v), model.insert(k, v), "insert: {ctx}");
+                }
+                3 | 4 => assert_eq!(table.remove(k), model.remove(&k), "remove: {ctx}"),
+                5 => assert_eq!(table.get(k), model.get(&k), "get: {ctx}"),
+                6 => {
+                    let v = rng.next_u64();
+                    let bump = rng.next_below(100);
+                    *table.get_mut_or_insert_with(k, || v) += bump;
+                    *model.entry(k).or_insert(v) += bump;
+                }
+                7 => {
+                    let v = rng.next_u64();
+                    match (table.get_mut(k), model.get_mut(&k)) {
+                        (Some(a), Some(b)) => {
+                            *a = v;
+                            *b = v;
+                        }
+                        (None, None) => {}
+                        (a, b) => panic!("get_mut: {ctx}: {a:?} vs {b:?}"),
+                    }
+                }
+                8 => {
+                    let (start, end) = (bound(&mut rng), bound(&mut rng));
+                    let got: Vec<(u64, u64)> =
+                        table.range(start, end).map(|(a, v)| (a, *v)).collect();
+                    let want: Vec<(u64, u64)> = if start <= end {
+                        model.range(start..end).map(|(a, v)| (*a, *v)).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(got, want, "range({start:#x}, {end:#x}): {ctx}");
+                }
+                _ => {
+                    // Rarely start over, so pages are freed and rebuilt.
+                    if rng.next_below(40) == 0 {
+                        table.clear();
+                        model.clear();
+                    }
+                    let got: Vec<(u64, u64)> = table.iter().map(|(a, v)| (a, *v)).collect();
+                    let want: Vec<(u64, u64)> = model.iter().map(|(a, v)| (*a, *v)).collect();
+                    assert_eq!(got, want, "iter: {ctx}");
+                }
+            }
+            assert_eq!(table.len(), model.len(), "len: {ctx}");
+            assert_eq!(table.is_empty(), model.is_empty(), "is_empty: {ctx}");
+        }
+    }
+}
+
+/// The Table 1 hierarchy as it was before its levels dropped their
+/// payloads: 64-byte lines in every way, and a stamping `probe` for the
+/// lookup. Kept as the reference for the tag-only hierarchy.
+struct PayloadHierarchy {
+    l1: dolos::secmem::cache::SetAssocCache,
+    l2: dolos::secmem::cache::SetAssocCache,
+    llc: dolos::secmem::cache::SetAssocCache,
+    hits: [u64; 3],
+    memory_misses: u64,
+    writebacks: u64,
+}
+
+impl PayloadHierarchy {
+    fn new() -> Self {
+        use dolos::secmem::cache::SetAssocCache;
+        use dolos::whisper::cpu_cache::{
+            L1_BYTES, L1_WAYS, L2_BYTES, L2_WAYS, LLC_BYTES, LLC_WAYS,
+        };
+        Self {
+            l1: SetAssocCache::with_capacity_bytes(L1_BYTES, L1_WAYS),
+            l2: SetAssocCache::with_capacity_bytes(L2_BYTES, L2_WAYS),
+            llc: SetAssocCache::with_capacity_bytes(LLC_BYTES, LLC_WAYS),
+            hits: [0; 3],
+            memory_misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn access(&mut self, line: u64, write: bool) -> dolos::whisper::cpu_cache::CacheAccess {
+        use dolos::secmem::cache::Access;
+        use dolos::whisper::cpu_cache::{CacheAccess, L1_LATENCY, L2_LATENCY, LLC_LATENCY};
+        let zero = [0u8; 64];
+        let mut writebacks = Vec::new();
+        let (latency, memory_miss) = if self.l1.probe(line) == Access::Hit {
+            self.hits[0] += 1;
+            (L1_LATENCY, false)
+        } else if self.l2.probe(line) == Access::Hit {
+            self.hits[1] += 1;
+            (L1_LATENCY + L2_LATENCY, false)
+        } else if self.llc.probe(line) == Access::Hit {
+            self.hits[2] += 1;
+            (L1_LATENCY + L2_LATENCY + LLC_LATENCY, false)
+        } else {
+            self.memory_misses += 1;
+            (L1_LATENCY + L2_LATENCY + LLC_LATENCY, true)
+        };
+        if let Some(ev) = self.llc.fill(line, zero, false) {
+            if ev.dirty {
+                writebacks.push(ev.key);
+            }
+        }
+        if let Some(ev) = self.l2.fill(line, zero, false) {
+            if ev.dirty {
+                if let Some(ev3) = self.llc.fill(ev.key, zero, true) {
+                    if ev3.dirty {
+                        writebacks.push(ev3.key);
+                    }
+                }
+            }
+        }
+        if let Some(ev) = self.l1.fill(line, zero, write) {
+            if ev.dirty {
+                if let Some(ev2) = self.l2.fill(ev.key, zero, true) {
+                    if ev2.dirty {
+                        if let Some(ev3) = self.llc.fill(ev2.key, zero, true) {
+                            if ev3.dirty {
+                                writebacks.push(ev3.key);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.writebacks += writebacks.len() as u64;
+        CacheAccess {
+            latency,
+            memory_miss,
+            writebacks,
+        }
+    }
+
+    fn clean(&mut self, line: u64) -> bool {
+        let mut was_dirty = false;
+        for cache in [&mut self.l1, &mut self.l2, &mut self.llc] {
+            if let Some(ev) = cache.invalidate(line) {
+                was_dirty |= ev.dirty;
+                cache.fill(line, [0u8; 64], false);
+            }
+        }
+        was_dirty
+    }
+
+    fn lose_all(&mut self) {
+        self.l1.lose_all();
+        self.l2.lose_all();
+        self.llc.lose_all();
+    }
+
+    fn stats(&self) -> dolos::sim::stats::StatSet {
+        let mut s = dolos::sim::stats::StatSet::new();
+        s.set("cpu_cache.l1_hits", self.hits[0] as f64);
+        s.set("cpu_cache.l2_hits", self.hits[1] as f64);
+        s.set("cpu_cache.llc_hits", self.hits[2] as f64);
+        s.set("cpu_cache.memory_misses", self.memory_misses as f64);
+        s.set("cpu_cache.writebacks", self.writebacks as f64);
+        s
+    }
+}
+
+/// The tag-only CPU hierarchy against the payload-carrying original over a
+/// seeded stream that overflows the LLC with dirty lines, with `clean`
+/// (clwb) and `lose_all` (crash) interleaved: every access's latency, miss
+/// flag and write-back list, every `clean` answer and the statistics must
+/// agree at every step.
+#[test]
+fn tag_only_cpu_caches_match_payload_reference() {
+    use dolos::whisper::cpu_cache::{CpuCacheHierarchy, LLC_BYTES};
+
+    const STEPS: u64 = 420_000;
+    const CRASH_EVERY: u64 = 200_000;
+    let llc_lines = (LLC_BYTES / 64) as u64;
+    let mut rng = XorShift::new(0xCAC4E);
+    let mut tags = CpuCacheHierarchy::new();
+    let mut reference = PayloadHierarchy::new();
+    let mut next_line = 0u64; // streaming pointer: a fresh line per step
+    let mut writebacks_at_crash = Vec::new();
+    let recent = |rng: &mut XorShift, next: u64| next.saturating_sub(1 + rng.next_below(4096)) * 64;
+    for step in 0..STEPS {
+        if step % CRASH_EVERY == CRASH_EVERY - 1 {
+            writebacks_at_crash.push(tags.stats().get_or_zero("cpu_cache.writebacks"));
+            tags.lose_all();
+            reference.lose_all();
+            continue;
+        }
+        let roll = rng.next_below(100);
+        if roll < 3 {
+            let line = recent(&mut rng, next_line);
+            assert_eq!(
+                tags.clean(line),
+                reference.clean(line),
+                "clean {line:#x} at {step}"
+            );
+        } else {
+            let line = match roll {
+                3..=12 => rng.next_below(512) * 64,     // hot set: L1/L2 hits
+                13..=22 => recent(&mut rng, next_line), // recent: L2/LLC hits
+                _ => {
+                    next_line += 1;
+                    next_line * 64
+                }
+            };
+            let write = rng.next_below(2) == 0;
+            assert_eq!(
+                tags.access(line, write),
+                reference.access(line, write),
+                "access {line:#x} (write {write}) at {step}"
+            );
+        }
+        assert_eq!(tags.stats(), reference.stats(), "stats at {step}");
+    }
+    assert!(
+        next_line > 2 * llc_lines,
+        "the stream must overflow the LLC"
+    );
+    // The first crash must land on a hierarchy that already spilled dirty
+    // lines, so `lose_all` is exercised on a full LLC.
+    assert!(
+        writebacks_at_crash[0] > 0.0,
+        "dirty LLC evictions must occur"
+    );
 }
