@@ -788,13 +788,16 @@ impl ExperimentConfig {
     }
 
     /// Conformance: the cross-scheme differential matrix and metamorphic
-    /// invariant probes from `dolos-verify` (DESIGN.md §12), sized to a
-    /// quick sweep. Byte-identical output at any `jobs` value, like every
-    /// other experiment.
+    /// invariant probes from `dolos-verify` (DESIGN.md §9), sized to a
+    /// quick sweep: the differential family only (no reach scenarios, no
+    /// workload crash cells). Byte-identical output at any `jobs` value,
+    /// like every other experiment.
     pub fn conformance(&self) -> Vec<Table> {
         let config = dolos_verify::VerifyConfig {
             seed: self.seed,
             traces: 64,
+            schedules: 0,
+            workload_txns: 0,
             jobs: self.jobs,
             ..dolos_verify::VerifyConfig::default()
         };

@@ -93,7 +93,7 @@ pub struct SecureMemorySystem {
     persist_latency: Running,
     persist_histogram: Histogram,
     read_wpq_hits: u64,
-    /// Armed fault-injection plan (chaos testing); `None` in normal runs.
+    /// Armed fault-injection plan (crash testing); `None` in normal runs.
     fault: Option<FaultPlan>,
     /// A fault fired inside the background drain engine; the next fallible
     /// operation converts it into a crash.
@@ -834,6 +834,12 @@ impl SecureMemorySystem {
     /// Number of persist operations served.
     pub fn persists(&self) -> u64 {
         self.persists
+    }
+
+    /// Page overflows in the Ma-SU so far (the `masu.overflows` stat,
+    /// without building the whole [`StatSet`]); 0 without a Ma-SU.
+    pub fn page_overflows(&self) -> u64 {
+        self.masu.as_ref().map_or(0, MajorSecurityUnit::overflows)
     }
 
     /// Number of WPQ-insertion retry events (Table 2's metric).

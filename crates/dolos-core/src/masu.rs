@@ -29,7 +29,7 @@ use dolos_nvm::addr::LineAddr;
 use dolos_nvm::{Line, NvmDevice};
 use dolos_secmem::bmt::{data_mac, BonsaiMerkleTree};
 use dolos_secmem::cache::{Access, SetAssocCache};
-use dolos_secmem::counters::{CounterBlock, IncrementResult};
+use dolos_secmem::counters::{CounterBlock, IncrementResult, LineCounter};
 use dolos_secmem::ecc::{ecc64, probe_counter};
 use dolos_secmem::layout::MetadataLayout;
 use dolos_secmem::shadow::ShadowTable;
@@ -605,24 +605,16 @@ impl MajorSecurityUnit {
                 report.cycles += NVM_READ + (counter - base + 1) * self.latency_aes();
                 if counter != base {
                     changed = true;
-                    // Reconstruct (major, minor) from the packed value.
-                    let major = counter / 128;
-                    let minor = (counter % 128) as u8;
-                    let mut fresh = CounterBlock::new();
-                    // Rebuild from scratch preserving other lines.
-                    for l in 0..64 {
-                        let c = if l == line_in_page {
-                            dolos_secmem::counters::LineCounter { major, minor }
-                        } else {
-                            rebuilt.line_counter(l)
-                        };
-                        // Replay increments to reach the target (cheap: test
-                        // regions are small).
-                        while fresh.line_counter(l).packed() < c.packed() {
-                            fresh.increment(l);
-                        }
-                    }
-                    rebuilt = fresh;
+                    // Set the probed counter directly. A newer major (the
+                    // page overflowed after the block was last persisted)
+                    // restarts every minor, exactly as the overflow did.
+                    rebuilt.set_line_counter(
+                        line_in_page,
+                        LineCounter {
+                            major: counter / 128,
+                            minor: (counter % 128) as u8,
+                        },
+                    );
                 }
             }
             if changed {
@@ -689,6 +681,11 @@ impl MajorSecurityUnit {
             }
         }
         Ok(())
+    }
+
+    /// Minor-counter overflows so far (the `masu.overflows` stat).
+    pub fn overflows(&self) -> u64 {
+        self.overflows
     }
 
     /// Snapshots Ma-SU statistics.
@@ -905,6 +902,74 @@ mod tests {
         assert_eq!(got, [0xAA; 64]);
         let (_, got0) = m.read(Cycle::ZERO, addr(0), &mut nvm).unwrap();
         assert_eq!(got0, [0xBB; 64]);
+    }
+
+    #[test]
+    fn recovery_after_a_page_overflow_restores_every_line_on_both_trees() {
+        // Line 5 overflows page 0 (128 writes); lines 1 and 2 are then
+        // written once each, below the stop-loss of 4, so the persisted
+        // block is stale and recovery must rebuild it from probed counters.
+        // Line 0 keeps its post-overflow counter (1, 0).
+        for scheme in [UpdateScheme::EagerMerkle, UpdateScheme::LazyToc] {
+            let (mut m, mut nvm) = masu(scheme);
+            let mut expect = [[0u8; 64]; 6];
+            for (line, byte) in [(0, 0xA0), (1, 0xA1), (3, 0xA3)] {
+                m.process_write(Cycle::ZERO, addr(line), &[byte; 64], &mut nvm);
+                expect[line as usize] = [byte; 64];
+            }
+            for i in 0..128u8 {
+                m.process_write(Cycle::ZERO, addr(5), &[i; 64], &mut nvm);
+            }
+            expect[5] = [127; 64];
+            assert_eq!(m.stats().get_or_zero("masu.overflows"), 1.0);
+            for (line, byte) in [(1, 0xB1), (2, 0xB2)] {
+                m.process_write(Cycle::ZERO, addr(line), &[byte; 64], &mut nvm);
+                expect[line as usize] = [byte; 64];
+            }
+            m.crash();
+            let report = m
+                .recover(&mut nvm)
+                .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
+            assert_eq!(report.rebuilt_counter_blocks, 1, "{scheme:?}");
+            for (line, want) in expect.iter().enumerate() {
+                let got = m.read(Cycle::ZERO, addr(line as u64), &mut nvm);
+                assert_eq!(got.map(|(_, d)| d), Ok(*want), "{scheme:?} line {line}");
+            }
+            m.check_tree_consistency(&nvm)
+                .unwrap_or_else(|e| panic!("{scheme:?} audit: {e}"));
+        }
+    }
+
+    #[test]
+    fn block_rebuilt_from_probed_counters_equals_the_live_block() {
+        // Seeded write sequences over one page, biased towards a hot line
+        // so most cross one or more overflows. The live block is modelled
+        // by the same increments; after crash and recovery the persisted
+        // block must equal it exactly.
+        use dolos_sim::rng::XorShift;
+        let mut overflowed = 0;
+        for seed in 0..48u64 {
+            let (mut m, mut nvm) = masu(UpdateScheme::EagerMerkle);
+            let mut rng = XorShift::new(seed);
+            let mut live = CounterBlock::new();
+            let hot = rng.next_below(64) as usize;
+            for _ in 0..100 + rng.next_below(300) {
+                let line = if rng.chance(0.7) {
+                    hot
+                } else {
+                    rng.next_below(64) as usize
+                };
+                live.increment(line);
+                m.process_write(Cycle::ZERO, addr(line as u64), &[line as u8; 64], &mut nvm);
+            }
+            overflowed += usize::from(live.major() > 0);
+            m.crash();
+            m.recover(&mut nvm)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let rebuilt = CounterBlock::from_line(&nvm.peek(m.layout.counter_block_addr(0)));
+            assert_eq!(rebuilt, live, "seed {seed}");
+        }
+        assert!(overflowed > 24, "only {overflowed} sequences overflowed");
     }
 
     #[test]

@@ -133,6 +133,27 @@ impl CounterBlock {
         }
     }
 
+    /// Sets line `line`'s counter directly, as Osiris recovery does with a
+    /// counter it probed from the line's ciphertext and ECC.
+    ///
+    /// A probed major newer than the block's means the page overflowed
+    /// after this block was last persisted: the major advances and every
+    /// minor restarts at zero, as [`Self::increment`] left them, before the
+    /// line's minor is set. A probed major older than the block's is
+    /// ignored except for the minor (the block already holds the newer
+    /// epoch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line >= 64`.
+    pub fn set_line_counter(&mut self, line: usize, counter: LineCounter) {
+        if counter.major > self.major {
+            self.major = counter.major;
+            self.minors = [0; MINORS_PER_BLOCK];
+        }
+        self.minors[line] = counter.minor & MINOR_MAX;
+    }
+
     /// Serializes to the 64-byte NVM representation
     /// (8-byte major ‖ 56 bytes holding 64 7-bit minors).
     ///

@@ -24,7 +24,7 @@ use crate::attrib::{attribute, Attribution};
 use crate::hist::TraceHistogram;
 
 /// The schemes a profile reports by default, in the canonical comparison
-/// order shared with `dolos-verify`: the insecure upper bound, the
+/// order of `dolos-verify`'s differential family: the insecure upper bound, the
 /// state-of-the-art baseline, then the three Dolos Mi-SU designs.
 pub const REPORT_SCHEMES: [ControllerKind; 5] = [
     ControllerKind::IdealNonSecure,

@@ -1,32 +1,41 @@
-//! `dolos-verify` — differential and metamorphic conformance across the
-//! Mi-SU variants and baselines.
+//! `dolos-verify` — the falsifier CLI: crash consistency, tamper detection
+//! and cross-scheme conformance across every controller design.
 //!
 //! ```text
-//! dolos-verify campaign [--seed N] [--traces N] [--rounds N] [--txns N]
-//!                       [--keyspace N] [--no-tamper] [--banks N] [--jobs N]
-//!                       [--json PATH] [--quiet]
+//! dolos-verify campaign [--seed N] [--traces N] [--schedules N] [--rounds N]
+//!                       [--txns N] [--keyspace N] [--no-tamper] [--banks N]
+//!                       [--workload-txns N] [--jobs N] [--json PATH] [--quiet]
 //! dolos-verify replay <scenario> [--scheme NAME]
 //!
-//! `campaign` sweeps seeded scenarios across all five schemes and checks
-//! the metamorphic invariants; the report (including the JSON) is
+//! `campaign` sweeps `--traces` differential scenarios (five schemes),
+//! `--schedules` reach scenarios and one crash cell per WHISPER workload at
+//! `--workload-txns` transactions (all six designs; 0 skips either), and
+//! checks the metamorphic invariants; the report (including the JSON) is
 //! byte-for-byte identical at any `--jobs` value. `replay` re-runs one
-//! rendered scenario (as printed in failure reports), either across all
-//! schemes or on a single named scheme.
+//! rendered scenario (as printed in failure reports) on all six designs or
+//! on a single named one.
 //! ```
 //!
-//! Exit status is 0 when every obligation held, 1 otherwise.
+//! Exit status is 0 when every obligation held, 1 otherwise, 2 on bad
+//! arguments.
 
 use std::process::ExitCode;
 
-use dolos_verify::{run_scenario, run_verify, Scenario, VerifyConfig};
+use dolos_core::ControllerConfig;
+use dolos_verify::{all_designs, run_scenario, run_verify, Scenario, VerifyConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dolos-verify campaign [--seed N] [--traces N] [--rounds N] [--txns N] \
-         [--keyspace N] [--no-tamper] [--banks N] [--jobs N] [--json PATH] [--quiet]\n\
+        "usage: dolos-verify campaign [--seed N] [--traces N] [--schedules N] [--rounds N] \
+         [--txns N] [--keyspace N] [--no-tamper] [--banks N] [--workload-txns N] [--jobs N] \
+         [--json PATH] [--quiet]\n\
          \x20      dolos-verify replay <scenario> [--scheme NAME]"
     );
     std::process::exit(2);
+}
+
+fn number<T: std::str::FromStr>(text: String) -> T {
+    text.parse().unwrap_or_else(|_| usage())
 }
 
 fn campaign(args: &[String]) -> ExitCode {
@@ -41,17 +50,18 @@ fn campaign(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--seed" => config.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--traces" => config.traces = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--rounds" => config.rounds = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--txns" => config.txns_per_round = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--keyspace" => config.keyspace = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--seed" => config.seed = number(value(&mut i)),
+            "--traces" => config.traces = number(value(&mut i)),
+            "--schedules" => config.schedules = number(value(&mut i)),
+            "--rounds" => config.rounds = number(value(&mut i)),
+            "--txns" => config.txns_per_round = number(value(&mut i)),
+            "--keyspace" => config.keyspace = number(value(&mut i)),
             "--no-tamper" => config.tamper = false,
-            "--banks" => config.banks = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--jobs" => config.jobs = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--banks" => config.banks = number(value(&mut i)),
+            "--workload-txns" => config.workload_txns = number(value(&mut i)),
+            "--jobs" => config.jobs = number(value(&mut i)),
             "--json" => json_path = Some(value(&mut i)),
             "--quiet" => quiet = true,
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
         i += 1;
@@ -61,15 +71,22 @@ fn campaign(args: &[String]) -> ExitCode {
 
     if !quiet {
         println!("{}", report.table().render());
+        if !report.reach.is_empty() {
+            println!("{}", report.reach_table().render());
+            let overflows: u64 = report.reach.iter().map(|s| s.overflow_rounds).sum();
+            println!(
+                "reach: {overflows} rounds and workload cells overflowed a page before the crash\n"
+            );
+        }
         println!("{}", report.metamorphic_table().render());
         for violation in &report.metamorphic.violations {
             println!("METAMORPHIC VIOLATION: {violation}");
         }
-        for scheme in &report.schemes {
-            if let Some(failure) = &scheme.first_failure {
+        for s in report.summaries() {
+            if let Some(failure) = &s.first_failure {
                 println!(
                     "FAIL {}: {}\n  minimal reproducer: {}",
-                    scheme.scheme, failure.message, failure.scenario
+                    s.scheme, failure.message, failure.scenario
                 );
             }
         }
@@ -98,25 +115,17 @@ fn campaign(args: &[String]) -> ExitCode {
 }
 
 fn replay(args: &[String]) -> ExitCode {
-    let mut scenario_text: Option<String> = None;
-    let mut scheme: Option<String> = None;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scheme" => scheme = Some(value(&mut i)),
-            "--help" | "-h" => usage(),
-            arg if scenario_text.is_none() && !arg.starts_with('-') => {
-                scenario_text = Some(arg.to_string())
+    let (text, designs) = match args {
+        [text] => (text, all_designs().to_vec()),
+        [text, flag, name] if flag == "--scheme" => match ControllerConfig::named(name) {
+            Some(config) => (text, vec![config]),
+            None => {
+                eprintln!("dolos-verify: unknown scheme {name:?}");
+                return ExitCode::from(2);
             }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(text) = scenario_text else { usage() };
+        },
+        _ => usage(),
+    };
     let scenario: Scenario = match text.parse() {
         Ok(s) => s,
         Err(e) => {
@@ -124,40 +133,15 @@ fn replay(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(name) = scheme {
-        let Some(config) = dolos_core::ControllerConfig::named(&name) else {
-            eprintln!("dolos-verify: unknown scheme {name:?}");
-            return ExitCode::from(2);
-        };
-        let obs = dolos_verify::run_scheme(&config, &scenario);
-        println!(
-            "{}: commits={} reads={} lines={} detected={} cuts=[{}]",
-            obs.scheme,
-            obs.commits,
-            obs.reads_checked,
-            obs.lines_checked,
-            obs.tamper_detected,
-            obs.fired.join(",")
-        );
-        for divergence in &obs.divergences {
-            println!("DIVERGENCE: {divergence}");
-        }
-        return if obs.pass() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    let verdict = run_scenario(&scenario);
+    let verdict = run_scenario(&designs, &scenario);
     for obs in &verdict.observations {
         println!(
-            "{}: commits={} reads={} lines={} detected={} cuts=[{}]{}",
+            "{}: commits={} reads={} lines={} overflow_rounds={} detected={} cuts=[{}]{}",
             obs.scheme,
             obs.commits,
             obs.reads_checked,
             obs.lines_checked,
+            obs.overflow_rounds,
             obs.tamper_detected,
             obs.fired.join(","),
             if obs.pass() { "" } else { " DIVERGED" }
@@ -169,11 +153,14 @@ fn replay(args: &[String]) -> ExitCode {
     for failure in &verdict.cross_failures {
         println!("CROSS-SCHEME DIVERGENCE: {failure}");
     }
+    println!(
+        "{} {}",
+        if verdict.pass() { "PASS" } else { "FAIL" },
+        verdict.scenario
+    );
     if verdict.pass() {
-        println!("PASS {}", verdict.scenario);
         ExitCode::SUCCESS
     } else {
-        println!("FAIL {}", verdict.scenario);
         ExitCode::FAILURE
     }
 }

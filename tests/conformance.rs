@@ -1,18 +1,23 @@
-//! Cross-scheme conformance: the dolos-verify differential harness run as
-//! an integration suite over the real workspace stack.
+//! Cross-scheme conformance: the dolos-verify campaign run as an
+//! integration suite over the real workspace stack.
 //!
-//! These tests pin the three end-to-end obligations of the verify
-//! subsystem: a seeded campaign agrees across every scheme, reports are
-//! byte-identical at any parallelism, and a deliberately-tampered run is
-//! caught and shrunk to a minimal replayable reproducer.
+//! These tests pin the end-to-end obligations of the falsifier: a seeded
+//! campaign agrees across every scheme, reports are byte-identical at any
+//! parallelism, a deliberately-tampered run is caught and shrunk to a
+//! minimal replayable reproducer, and a page overflow before the crash
+//! recovers.
 
-use dolos_chaos::{shrink_with, TamperSpec};
-use dolos_verify::{run_scenario, run_verify, Scenario, ScenarioConfig, VerifyConfig};
+use dolos_verify::{
+    all_designs, run_scenario, run_verify, shrink_with, verify_schemes, Scenario, ScenarioConfig,
+    TamperSpec, VerifyConfig,
+};
 
 fn smoke_config() -> VerifyConfig {
     VerifyConfig {
         seed: 7,
         traces: 32,
+        schedules: 8,
+        workload_txns: 8,
         jobs: 1,
         ..VerifyConfig::default()
     }
@@ -73,7 +78,7 @@ fn tamper_is_caught_and_shrunk_to_a_pinned_replayable_repro() {
     // The scheduled flip must be detected by every Mi-SU variant while the
     // full verdict still passes (detection is the *correct* outcome).
     let caught = |s: &Scenario| {
-        let verdict = run_scenario(s);
+        let verdict = run_scenario(&verify_schemes(), s);
         verdict.pass()
             && verdict
                 .observations
@@ -124,7 +129,7 @@ fn torn_bank_tamper_is_caught_and_shrunk_to_a_pinned_replayable_repro() {
         if s.banks <= 1 || !torn_bank(s) {
             return false;
         }
-        let verdict = run_scenario(s);
+        let verdict = run_scenario(&verify_schemes(), s);
         verdict.pass()
             && verdict
                 .observations
@@ -169,7 +174,7 @@ fn pinned_repro_separates_secure_from_non_secure_schemes() {
     let scenario: Scenario = "seed=0;keys=32;[t1+flip(data,10683385982809475536,428)]"
         .parse()
         .expect("pinned reproducer must parse");
-    let verdict = run_scenario(&scenario);
+    let verdict = run_scenario(&verify_schemes(), &scenario);
     assert!(verdict.pass(), "{:?}", verdict.first_failure());
     for obs in &verdict.observations {
         if obs.scheme == "ideal" {
@@ -178,5 +183,21 @@ fn pinned_repro_separates_secure_from_non_secure_schemes() {
         } else {
             assert!(obs.tamper_detected, "{}: {obs:?}", obs.scheme);
         }
+    }
+}
+
+#[test]
+fn page_overflow_before_the_crash_recovers_on_every_design() {
+    // With the pre-fix Osiris rebuild (counters replayed by increments from
+    // a fresh block) the CI-scale campaign fails and shrinks to this
+    // scenario: a hot line overflows page 0, then a nested crash interrupts
+    // recovery, and the rebuilt counter block no longer matches the root.
+    let scenario: Scenario = "seed=13250304816403265503;keys=32;[t1+hot(1)+n#1]"
+        .parse()
+        .expect("pinned reproducer must parse");
+    let verdict = run_scenario(&all_designs(), &scenario);
+    assert!(verdict.pass(), "{:?}", verdict.first_failure());
+    for obs in &verdict.observations[1..] {
+        assert!(obs.overflow_rounds > 0, "{}: no page overflow", obs.scheme);
     }
 }
